@@ -33,7 +33,7 @@ class DpuCoreSim {
   /// contending for DDR bandwidth (affects LOAD/SAVE latency only). With an
   /// `arena`, per-layer buffers recycle its slabs across frames (zero heap
   /// allocation in steady state except the returned output); the arena is
-  /// single-threaded state — one per runner worker, never shared.
+  /// single-threaded state — one per executing thread, never shared.
   RunResult run(const TensorI8& input, int bw_sharers = 1,
                 tensor::TensorArena* arena = nullptr) const;
 

@@ -261,11 +261,16 @@ class Checker {
         return;
       }
       const std::int64_t ci = shape_of(l.inputs[0])[2];
-      const std::int64_t want = l.kernel * l.kernel * ci * l.out_shape[2];
-      if (w_ok && l.weight_count != want) {
+      // Corrupted fields can overflow k*k*ci*co; no real weight count can.
+      std::int64_t want = 0;
+      const bool fits = !__builtin_mul_overflow(l.kernel, l.kernel, &want) &&
+                        !__builtin_mul_overflow(want, ci, &want) &&
+                        !__builtin_mul_overflow(want, l.out_shape[2], &want);
+      if (w_ok && (!fits || l.weight_count != want)) {
         add(Severity::kError, i, -1, "structure",
             "weight count " + std::to_string(l.weight_count) +
-                " does not match k*k*ci*co = " + std::to_string(want));
+                " does not match k*k*ci*co = " +
+                (fits ? std::to_string(want) : std::string("(overflow)")));
       }
       if (b_ok && l.bias_count != l.out_shape[2]) {
         add(Severity::kError, i, -1, "structure",

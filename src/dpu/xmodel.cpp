@@ -77,15 +77,23 @@ void write_shape(util::BinaryWriter& w, const Shape& s) {
 }
 
 Shape read_shape(util::BinaryReader& r) {
+  // 4 GiB of int8, the ZCU104's whole DDR. Any larger element count is
+  // corruption, and past 2^63 Shape::numel() would overflow.
+  constexpr std::int64_t kMaxElements = std::int64_t{1} << 32;
   const std::uint32_t rank = r.u32();
   std::int64_t dims[5] = {0, 0, 0, 0, 0};
   if (rank > 5) throw std::runtime_error("xmodel: bad shape rank");
+  std::int64_t elements = 1;
   for (std::uint32_t i = 0; i < rank; ++i) {
     dims[i] = static_cast<std::int64_t>(r.u64());
     // Shape's own constructor rejects these too, but with the wrong
     // exception type for the wire contract (invalid_argument, reserved for
     // caller bugs; corrupted bytes are runtime_errors).
     if (dims[i] < 0) throw std::runtime_error("xmodel: negative shape dim");
+    if (dims[i] > 0 && elements > kMaxElements / dims[i]) {
+      throw std::runtime_error("xmodel: shape too large");
+    }
+    elements *= dims[i];
   }
   switch (rank) {
     case 0: return Shape{};

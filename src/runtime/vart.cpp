@@ -1,117 +1,31 @@
 #include "runtime/vart.hpp"
 
-#include <stdexcept>
+#include <algorithm>
+#include <exception>
+#include <utility>
 
 namespace seneca::runtime {
 
-using util::LockGuard;
+namespace {
 
-VartRunner::VartRunner(const dpu::XModel& model, int num_workers,
-                       std::size_t max_pending)
-    : model_(model), core_(&model_), max_pending_(max_pending) {
-  if (num_workers < 1) num_workers = 1;
-  workers_.reserve(static_cast<std::size_t>(num_workers));
-  for (int i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
+// One arena per executing thread: its per-layer activation buffers recycle
+// across every frame the thread runs, so steady-state inference allocates
+// only the returned output tensor. A pool worker serves one runner; a
+// caller that runs frames inline keeps one arena for every runner it calls.
+tensor::TensorArena& thread_arena() {
+  thread_local tensor::TensorArena arena;
+  return arena;
 }
 
-VartRunner::~VartRunner() { stop(); }
+}  // namespace
 
-void VartRunner::stop() {
-  std::call_once(stop_once_, [this] {
-    {
-      LockGuard lock(mutex_);
-      stopping_ = true;
-    }
-    work_cv_.notify_all();
-    space_cv_.notify_all();
-    done_cv_.notify_all();
-    for (auto& w : workers_) w.join();
-  });
-}
-
-bool VartRunner::stopped() const {
-  LockGuard lock(mutex_);
-  return stopping_;
-}
-
-std::uint64_t VartRunner::submit(tensor::TensorI8 input) {
-  std::uint64_t id;
-  {
-    LockGuard lock(mutex_);
-    if (max_pending_ > 0) {
-      space_cv_.wait(lock, [this]() REQUIRES(mutex_) {
-        return stopping_ || pending_.size() < max_pending_;
-      });
-    }
-    // Re-checked after the wait: the bounded-mode predicate also returns on
-    // stop, and a job enqueued past that point would never run — a racing
-    // collect() would then hang forever on it.
-    if (stopping_) {
-      throw std::runtime_error("VartRunner::submit: runner is stopped");
-    }
-    id = next_job_++;
-    pending_.emplace(id, std::move(input));
-  }
-  work_cv_.notify_one();
-  return id;
-}
-
-std::optional<std::uint64_t> VartRunner::try_submit(tensor::TensorI8 input) {
-  std::uint64_t id;
-  {
-    LockGuard lock(mutex_);
-    if (stopping_) return std::nullopt;
-    if (max_pending_ > 0 && pending_.size() >= max_pending_) {
-      return std::nullopt;
-    }
-    id = next_job_++;
-    pending_.emplace(id, std::move(input));
-  }
-  work_cv_.notify_one();
-  return id;
-}
-
-std::size_t VartRunner::pending() const {
-  LockGuard lock(mutex_);
-  return pending_.size();
-}
-
-std::pair<std::uint64_t, tensor::TensorI8> VartRunner::collect() {
-  LockGuard lock(mutex_);
-  done_cv_.wait(lock, [this]() REQUIRES(mutex_) {
-    return !finished_.empty() ||
-           (stopping_ && pending_.empty() && inflight_ == 0);
-  });
-  if (finished_.empty()) {
-    throw std::runtime_error(
-        "VartRunner::collect: runner is stopped with no outstanding job");
-  }
-  auto it = finished_.begin();
-  auto result = std::make_pair(it->first, std::move(it->second));
-  finished_.erase(it);
-  return result;
-}
-
-tensor::TensorI8 VartRunner::collect(std::uint64_t id) {
-  LockGuard lock(mutex_);
-  done_cv_.wait(lock, [this, id]() REQUIRES(mutex_) {
-    return finished_.count(id) != 0 ||
-           (stopping_ && pending_.empty() && inflight_ == 0);
-  });
-  auto it = finished_.find(id);
-  if (it == finished_.end()) {
-    throw std::runtime_error(
-        "VartRunner::collect(id): runner stopped before the job finished");
-  }
-  tensor::TensorI8 out = std::move(it->second);
-  finished_.erase(it);
-  return out;
-}
+VartRunner::VartRunner(const dpu::XModel& model, int num_workers)
+    : core_(&model),
+      num_workers_(std::max(num_workers, 1)),
+      pool_(static_cast<std::size_t>(num_workers_)) {}
 
 void VartRunner::set_run_fault_hook(std::function<void(std::size_t)> hook) {
-  LockGuard lock(mutex_);
+  util::LockGuard lock(hook_mutex_);
   run_fault_hook_ = std::move(hook);
 }
 
@@ -119,50 +33,27 @@ std::vector<tensor::TensorI8> VartRunner::run_batch(
     const std::vector<tensor::TensorI8>& inputs) {
   std::function<void(std::size_t)> hook;
   {
-    LockGuard lock(mutex_);
+    util::LockGuard lock(hook_mutex_);
     hook = run_fault_hook_;
   }
   if (hook) hook(inputs.size());
 
-  std::vector<std::uint64_t> ids;
-  ids.reserve(inputs.size());
-  for (const auto& in : inputs) ids.push_back(submit(in));
-
-  // Collect strictly by id: with an any-job collect(), two threads running
-  // batches on one runner would steal each other's finished jobs and blow
-  // up on the missing ids afterwards.
-  std::vector<tensor::TensorI8> outputs;
-  outputs.reserve(inputs.size());
-  for (std::uint64_t id : ids) outputs.push_back(collect(id));
-  return outputs;
-}
-
-void VartRunner::worker_loop() {
-  // One arena per worker thread: per-layer activation buffers recycle across
-  // every job this worker runs, so steady-state inference allocates only the
-  // returned output tensor. Never shared — arenas are single-threaded state.
-  tensor::TensorArena arena;
-  for (;;) {
-    std::pair<std::uint64_t, tensor::TensorI8> job;
-    {
-      LockGuard lock(mutex_);
-      work_cv_.wait(lock, [this]() REQUIRES(mutex_) {
-        return stopping_ || !pending_.empty();
-      });
-      if (stopping_ && pending_.empty()) return;
-      job = std::move(pending_.front());
-      pending_.pop();
-      ++inflight_;
+  std::vector<tensor::TensorI8> outputs(inputs.size());
+  // A throw escaping a pool worker would terminate the process; each frame
+  // parks its exception instead, and the first one fails the batch here.
+  std::vector<std::exception_ptr> errors(inputs.size());
+  pool_.parallel_for(0, inputs.size(), [&](std::size_t i) {
+    try {
+      outputs[i] =
+          core_.run(inputs[i], /*bw_sharers=*/1, &thread_arena()).output;
+    } catch (...) {
+      errors[i] = std::current_exception();
     }
-    if (max_pending_ > 0) space_cv_.notify_one();
-    dpu::RunResult result = core_.run(job.second, /*bw_sharers=*/1, &arena);
-    {
-      LockGuard lock(mutex_);
-      finished_.emplace(job.first, std::move(result.output));
-      --inflight_;
-    }
-    done_cv_.notify_all();
+  });
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
   }
+  return outputs;
 }
 
 }  // namespace seneca::runtime

@@ -1,104 +1,53 @@
 #pragma once
-// VART-analog runtime (§III-E): asynchronous job submission/collection
-// against the (simulated) DPU cores. Host worker threads execute the
-// functional core model so results are bit-exact with the reference; the
-// timing story of a deployment is asked of soc_sim (the DES), keeping
-// functional correctness and temporal modelling decoupled.
+// VART-analog runtime (§III-E): runs batches of frames on the (simulated)
+// DPU cores. Host worker threads execute the functional core model so
+// results are bit-exact with the reference; the timing story of a
+// deployment is asked of soc_sim (the DES), keeping functional correctness
+// and temporal modelling decoupled.
 
-#include <cstdint>
+#include <cstddef>
 #include <functional>
-#include <map>
-#include <optional>
-#include <queue>
-#include <thread>
 #include <vector>
 
 #include "dpu/core_sim.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
+#include "util/thread_pool.hpp"
 
 namespace seneca::runtime {
 
 class VartRunner {
  public:
-  /// `num_workers` mirrors the paper's thread count (1/2/4). The xmodel must
-  /// outlive the runner. `max_pending` bounds the not-yet-started job queue:
-  /// 0 (the default) keeps the historical unbounded behavior; a positive
-  /// value makes submit() block while the queue is full and try_submit()
-  /// report backpressure instead.
-  explicit VartRunner(const dpu::XModel& model, int num_workers,
-                      std::size_t max_pending = 0);
-  ~VartRunner();
+  /// `num_workers` mirrors the paper's thread count (1/2/4); values below 1
+  /// count as 1. The xmodel must outlive the runner.
+  VartRunner(const dpu::XModel& model, int num_workers);
 
   VartRunner(const VartRunner&) = delete;
   VartRunner& operator=(const VartRunner&) = delete;
 
-  /// Asynchronously submits a job; returns its id. In bounded mode this
-  /// blocks until the pending queue has room (backpressure). Throws
-  /// std::runtime_error once stop() has run: a post-stop job would never be
-  /// executed and a racing collect() would hang on it forever.
-  std::uint64_t submit(tensor::TensorI8 input);
-
-  /// Non-blocking submit: nullopt when the bounded pending queue is full
-  /// (never fails in unbounded mode) or after stop().
-  std::optional<std::uint64_t> try_submit(tensor::TensorI8 input);
-
-  /// Stops the runner: drains already-submitted jobs, joins the workers,
-  /// and rejects every later submit. Idempotent; the destructor calls it.
-  void stop();
-
-  bool stopped() const;
-
-  /// Jobs admitted but not yet picked up by a worker.
-  std::size_t pending() const;
-
-  std::size_t max_pending() const { return max_pending_; }
-
-  /// Blocks until some job finishes; returns {job id, INT8 output}. Throws
-  /// std::runtime_error when the runner is stopped and no submitted job is
-  /// pending, in flight, or finished (the caller over-collected). With
-  /// concurrent collectors prefer the by-id overload: any-job collects
-  /// steal whatever finishes first, including jobs other threads wait on.
-  std::pair<std::uint64_t, tensor::TensorI8> collect();
-
-  /// Blocks until job `id` finishes and returns its output. Throws
-  /// std::runtime_error when the runner stops without that job ever
-  /// finishing (never submitted, or stolen by an any-job collect()).
-  tensor::TensorI8 collect(std::uint64_t id);
-
-  /// Convenience: submit all, collect all, return outputs in input order.
-  /// Collects strictly by id, so concurrent run_batch calls on one runner
-  /// cannot steal each other's results.
+  /// Runs every input through the core and returns the INT8 outputs in
+  /// input order, blocking until the whole batch is done. The frames spread
+  /// over the runner's worker threads; a 1-worker runner, or a batch of one,
+  /// runs on the caller. Concurrent calls share the workers. If any frame
+  /// fails (e.g. an input whose shape is not the model's), the whole batch
+  /// throws that frame's exception in the caller's thread once every frame
+  /// has run.
   std::vector<tensor::TensorI8> run_batch(
       const std::vector<tensor::TensorI8>& inputs);
 
-  /// Test/fault-injection hook: invoked at the top of run_batch with the
-  /// batch size; a throwing hook makes the dispatch fail like a runtime
-  /// fault (device error, OOM) without touching the workers.
+  /// Test/fault-injection hook: invoked at the top of run_batch, in the
+  /// caller's thread, with the batch size; a throwing hook fails the batch
+  /// like a runtime fault (device error, OOM) before any frame runs.
   void set_run_fault_hook(std::function<void(std::size_t)> hook);
 
-  int num_workers() const { return static_cast<int>(workers_.size()); }
+  int num_workers() const { return num_workers_; }
 
  private:
-  void worker_loop();
-
-  const dpu::XModel& model_;
-  dpu::DpuCoreSim core_;
-  std::size_t max_pending_ = 0;  // 0 = unbounded
-
-  mutable util::Mutex mutex_;
-  util::CondVar work_cv_;
-  util::CondVar done_cv_;
-  util::CondVar space_cv_;
-  std::queue<std::pair<std::uint64_t, tensor::TensorI8>> pending_
-      GUARDED_BY(mutex_);
-  std::map<std::uint64_t, tensor::TensorI8> finished_ GUARDED_BY(mutex_);
-  std::function<void(std::size_t)> run_fault_hook_ GUARDED_BY(mutex_);
-  std::uint64_t next_job_ GUARDED_BY(mutex_) = 0;
-  std::size_t inflight_ GUARDED_BY(mutex_) = 0;  // popped, not yet finished
-  bool stopping_ GUARDED_BY(mutex_) = false;
-  std::once_flag stop_once_;
-  std::vector<std::thread> workers_;
+  const dpu::DpuCoreSim core_;
+  const int num_workers_;
+  util::Mutex hook_mutex_;
+  std::function<void(std::size_t)> run_fault_hook_ GUARDED_BY(hook_mutex_);
+  util::ThreadPool pool_;  // last: joins its workers before core_ goes
 };
 
 }  // namespace seneca::runtime

@@ -82,11 +82,6 @@ RungObserved BoardSim::observed(int level) const {
   return observed_[static_cast<std::size_t>(level)];
 }
 
-bool BoardSim::runner_saturated() const {
-  const auto& runner = server_->runner(server_->degrade_level());
-  return runner.max_pending() > 0 && runner.pending() >= runner.max_pending();
-}
-
 double BoardSim::energy_joules() const {
   util::LockGuard lock(accounting_mutex_);
   return energy_joules_;

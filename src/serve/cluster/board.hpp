@@ -3,8 +3,8 @@
 //
 //   Board     — the transport-neutral interface ClusterRouter routes over:
 //               async submit, load signals (queue depth, inflight, EWMA
-//               latency, per-rung cost table), health inputs (fault, runner
-//               saturation), migration (evict_queued) and simulated
+//               latency, per-rung cost table), health inputs (fault, queue
+//               capacity), migration (evict_queued) and simulated
 //               energy/time accounting. An in-process simulated board and a
 //               socket-attached worker process (net::RemoteBoard) implement
 //               the same interface, so the router cannot tell them apart.
@@ -24,8 +24,8 @@
 //     busy_seconds(): simulated FPS and FPS/W keep their meaning.
 //   - cheap load signals: queue depth, inflight (submitted minus completed,
 //     fed by the server's on_complete hook), and an EWMA of served latency;
-//   - health inputs: operator fault injection and saturation of the current
-//     rung's bounded VartRunner queue;
+//   - health inputs: operator fault injection; admission-queue saturation
+//     is read from queue_depth() against queue_capacity();
 //   - simulated energy/time accounting: every served frame is billed the
 //     J/frame and seconds/frame of the rung that actually served it, which
 //     is what cluster-level FPS/W and simulated-FPS aggregate from.
@@ -123,10 +123,6 @@ class Board {
   virtual void inject_fault(bool on) = 0;
   /// Fault-injected, or (remote boards) dead/stale transport.
   virtual bool fault_injected() const = 0;
-  /// True when the current rung's bounded VartRunner pending queue is full:
-  /// the scheduler would block on submit backpressure, so routing more work
-  /// here only deepens the board's backlog.
-  virtual bool runner_saturated() const = 0;
   virtual std::size_t queue_capacity() const = 0;
 
   // ---- migration ----
@@ -181,7 +177,6 @@ class BoardSim : public Board {
   bool fault_injected() const override {
     return fault_.load(std::memory_order_relaxed);
   }
-  bool runner_saturated() const override;
   std::size_t queue_capacity() const override { return queue_capacity_; }
 
   std::size_t evict_queued() override { return server_->evict_queued(); }
@@ -212,10 +207,7 @@ class BoardSim : public Board {
   std::atomic<std::uint64_t> frames_served_{0};
   std::atomic<bool> fault_{false};
 
-  // DebugMutex: taken from the server's completion callback, so it sits
-  // under whatever locks the completing thread already holds — the kind of
-  // cross-component nesting the lock-order checker exists for.
-  mutable util::DebugMutex accounting_mutex_{"board.accounting"};
+  mutable util::Mutex accounting_mutex_;
   // EWMA alpha = 0.2 over served total_ms.
   double ewma_latency_ms_ GUARDED_BY(accounting_mutex_) = 0.0;
   double energy_joules_ GUARDED_BY(accounting_mutex_) = 0.0;

@@ -15,9 +15,6 @@ BoardHealth assess(const Board& board, const HealthPolicy& policy) {
     h.queue_saturated =
         static_cast<double>(board.queue_depth()) >= threshold;
   }
-  if (policy.check_runner) {
-    h.runner_saturated = board.runner_saturated();
-  }
   return h;
 }
 

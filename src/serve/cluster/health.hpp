@@ -1,12 +1,12 @@
 #pragma once
 // Board health assessment for the routing tier. A board is unhealthy when
-// any of three signals fires:
+// either of two signals fires:
 //   - fault: operator/test fault injection (Board::inject_fault), or — for
 //     socket-attached boards — a dead connection / stale telemetry,
 //   - admission-queue saturation (depth at or past a configurable fraction
-//     of capacity — routing there would only be shed at admission),
-//   - current-rung VartRunner saturation (the bounded pending queue is
-//     full, so the board's scheduler is stalled on backpressure).
+//     of capacity — routing there would only be shed at admission). The
+//     admission queue is a board's only queue, so this is its only
+//     backpressure signal.
 // The router routes around unhealthy boards, so a sick board drains to its
 // peers; its already-queued work still completes locally. When every board
 // is unhealthy the router still picks one (least loaded) so futures always
@@ -22,18 +22,13 @@ struct HealthPolicy {
   /// Queue depth at or above `queue_saturation * capacity` marks the board
   /// saturated. 1.0 = only a full queue; lower values drain earlier.
   double queue_saturation = 1.0;
-  /// Also consider the current rung's bounded runner queue.
-  bool check_runner = true;
 };
 
 struct BoardHealth {
   bool fault = false;
   bool queue_saturated = false;
-  bool runner_saturated = false;
 
-  bool healthy() const {
-    return !fault && !queue_saturated && !runner_saturated;
-  }
+  bool healthy() const { return !fault && !queue_saturated; }
 };
 
 BoardHealth assess(const Board& board, const HealthPolicy& policy);

@@ -18,9 +18,9 @@
 //                       deadline-feasible traffic to the cheapest band).
 //
 // Health-driven drain: before every pick the router assesses each board
-// (fault injection, queue saturation, bounded-runner saturation — see
-// health.hpp) and policies route around unhealthy boards, so a sick board
-// drains to its peers while its queued work finishes locally.
+// (fault injection and admission-queue saturation — see health.hpp) and
+// policies route around unhealthy boards, so a sick board drains to its
+// peers while its queued work finishes locally.
 //
 // Cross-board migration (opt-in, MigrationConfig::enable): the router keeps
 // a copy of each request's input and its client callback. When a board

@@ -54,7 +54,6 @@ std::vector<std::uint8_t> BoardDaemon::telemetry_payload(
   t.queue_depth = static_cast<std::uint32_t>(board_->queue_depth());
   t.level = board_->level();
   t.fault = board_->fault_injected();
-  t.runner_saturated = board_->runner_saturated();
   t.ewma_latency_ms = board_->ewma_latency_ms();
   t.frames_served = board_->frames_served();
   t.energy_joules = board_->energy_joules();

@@ -413,7 +413,6 @@ std::vector<std::uint8_t> WireTelemetry::encode() const {
   w.u32(queue_depth);
   w.i32(level);
   w.u8(fault ? 1 : 0);
-  w.u8(runner_saturated ? 1 : 0);
   w.f64(ewma_latency_ms);
   w.u64(frames_served);
   w.f64(energy_joules);
@@ -443,9 +442,6 @@ WireTelemetry WireTelemetry::decode(const std::vector<std::uint8_t>& payload) {
   const std::uint8_t fault = r.u8();
   if (fault > 1) throw FrameError("telemetry: bad fault flag");
   t.fault = fault != 0;
-  const std::uint8_t sat = r.u8();
-  if (sat > 1) throw FrameError("telemetry: bad saturation flag");
-  t.runner_saturated = sat != 0;
   t.ewma_latency_ms = r.f64();
   t.frames_served = r.u64();
   t.energy_joules = r.f64();

@@ -15,7 +15,7 @@
 //
 //   offset  size  field
 //        0     4  magic        0x52574E53 ("SNWR")
-//        4     1  version      kWireVersion (1)
+//        4     1  version      kWireVersion (2)
 //        5     1  type         FrameType
 //        6     2  reserved     must be zero
 //        8     4  payload_len  <= kMaxPayload
@@ -45,7 +45,7 @@ class FrameError : public std::runtime_error {
 };
 
 constexpr std::uint32_t kMagic = 0x52574E53u;  // "SNWR" in LE byte order
-constexpr std::uint8_t kWireVersion = 1;
+constexpr std::uint8_t kWireVersion = 2;
 constexpr std::size_t kHeaderSize = 16;
 /// Hard ceiling on a declared payload length: decoders reject anything
 /// larger before allocating, so a corrupt length field cannot OOM the
@@ -217,7 +217,6 @@ struct WireTelemetry {
   std::uint32_t queue_depth = 0;
   std::int32_t level = 0;
   bool fault = false;
-  bool runner_saturated = false;
   double ewma_latency_ms = 0.0;
   std::uint64_t frames_served = 0;
   double energy_joules = 0.0;

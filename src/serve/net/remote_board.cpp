@@ -288,11 +288,6 @@ bool RemoteBoard::fault_injected() const {
   return telemetry_.fault;
 }
 
-bool RemoteBoard::runner_saturated() const {
-  util::LockGuard lock(telemetry_mutex_);
-  return telemetry_.runner_saturated;
-}
-
 std::size_t RemoteBoard::evict_queued() {
   WireControl ctl;
   ctl.op = WireControl::Op::kEvictQueued;

@@ -71,7 +71,6 @@ class RemoteBoard : public cluster::Board {
   int rung_offset() const override { return rung_offset_; }
   void inject_fault(bool on) override;
   bool fault_injected() const override;
-  bool runner_saturated() const override;
   std::size_t queue_capacity() const override { return queue_capacity_; }
   std::size_t evict_queued() override;
   double energy_joules() const override;
@@ -123,7 +122,7 @@ class RemoteBoard : public cluster::Board {
   Socket sock_;
   util::Mutex write_mutex_;  // serializes all frame writes
 
-  mutable util::DebugMutex pending_mutex_{"remote_board.pending"};
+  mutable util::Mutex pending_mutex_;
   std::unordered_map<std::uint64_t, PendingRemote> pending_
       GUARDED_BY(pending_mutex_);
   std::atomic<std::uint64_t> next_corr_{1};

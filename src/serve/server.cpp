@@ -29,11 +29,8 @@ InferenceServer::InferenceServer(std::vector<ModelSpec> ladder,
   }
   runners_.reserve(ladder_.size());
   for (const auto& spec : ladder_) {
-    // Bounded pending queue: a runner never holds more than two batches,
-    // so a stuck rung surfaces as submit() backpressure in the scheduler
-    // rather than unbounded growth.
-    runners_.push_back(std::make_unique<runtime::VartRunner>(
-        spec.model, spec.workers, 2 * cfg_.batcher.max_batch_size));
+    runners_.push_back(
+        std::make_unique<runtime::VartRunner>(spec.model, spec.workers));
   }
   last_level_change_ = Clock::now();
   scheduler_ = std::thread([this] { scheduler_loop(); });
@@ -83,6 +80,13 @@ std::uint64_t InferenceServer::submit_async(Priority priority,
 
   const std::uint64_t id = r.id;
   if (stopping_.load(std::memory_order_acquire)) {
+    complete_failed(r, Status::kRejected);
+    return id;
+  }
+
+  // A wrong-shaped frame would fail in the core and take its whole batch
+  // down with kError; turn it away at the door instead.
+  if (r.input.shape() != ladder_.front().model.input_shape) {
     complete_failed(r, Status::kRejected);
     return id;
   }

@@ -5,19 +5,21 @@
 //                                                             |
 //                                               degradation ladder pick
 //                                                             |
-//                                            VartRunner pool of ladder[level]
+//                                       VartRunner::run_batch of ladder[level]
 //
 // One server owns a degradation ladder of compiled models, largest (best
 // quality) first — e.g. the paper's zoo 8M -> 4M -> 2M -> 1M — each with its
 // own VartRunner worker pool. A single scheduler thread drains the
 // interactive lane before the batch lane (AdmissionQueue pop order), forms
-// micro-batches, and dispatches each batch to the ladder rung selected by
-// the overload controller: when queue depth or the sliding-window p99 of
-// interactive latency crosses the high threshold the server steps down to a
-// smaller/faster model (graceful degradation — §IV's quality/latency trade
-// made at serving time); when load subsides it steps back up. Outputs are
-// always bit-exact with the serving model's reference execution: the ladder
-// changes *which* model runs, never how it runs.
+// micro-batches, and runs each batch to completion on the ladder rung
+// selected by the overload controller. The admission queue is therefore the
+// only queue between a request and a core, and its capacity and overload
+// policy are the server's only backpressure. When queue depth or the
+// sliding-window p99 of interactive latency crosses the high threshold the
+// server steps down to a smaller/faster model (graceful degradation — §IV's
+// quality/latency trade made at serving time); when load subsides it steps
+// back up. Outputs are always bit-exact with the serving model's reference
+// execution: the ladder changes *which* model runs, never how it runs.
 
 #include <atomic>
 #include <cstdint>
@@ -93,6 +95,8 @@ class InferenceServer {
 
   /// Thread-safe. `deadline_ms` is relative to now; <= 0 means no deadline.
   /// The future always resolves: kOk with an output, or kRejected/kExpired.
+  /// An input whose shape differs from the ladder's input shape is
+  /// kRejected at once, before it is queued.
   std::future<Response> submit(Priority priority, tensor::TensorI8 input,
                                double deadline_ms = 0.0) {
     return submit(priority, std::move(input), deadline_ms, kDefaultTenant);
@@ -148,11 +152,8 @@ class InferenceServer {
   int workers(int level) const {
     return ladder_[static_cast<std::size_t>(level)].workers;
   }
-  /// Direct access to a rung's runner (health probes, fault injection).
+  /// Direct access to a rung's runner (fault injection).
   runtime::VartRunner& runner(int level) {
-    return *runners_[static_cast<std::size_t>(level)];
-  }
-  const runtime::VartRunner& runner(int level) const {
     return *runners_[static_cast<std::size_t>(level)];
   }
 
@@ -177,10 +178,7 @@ class InferenceServer {
   AdmissionQueue queue_;
   ServeMetrics metrics_;
 
-  // DebugMutex: OrderedMutex in checked builds — completion paths cross
-  // component boundaries (queue -> server -> cluster callbacks), exactly
-  // where a lock-order mistake would creep in.
-  util::DebugMutex pending_mutex_{"server.pending"};
+  util::Mutex pending_mutex_;
   std::unordered_map<std::uint64_t, Pending> pending_
       GUARDED_BY(pending_mutex_);
   std::atomic<std::uint64_t> next_id_{0};

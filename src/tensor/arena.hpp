@@ -9,7 +9,8 @@
 //
 // Lifetime rules:
 //  - An arena is single-threaded state. Share one per execution thread
-//    (VartRunner keeps one per worker), never across concurrent runs.
+//    (VartRunner keeps one per thread it runs frames on), never across
+//    concurrent runs.
 //  - acquire() returns a tensor with UNSPECIFIED contents; every kernel
 //    writes its complete output, so no zero-fill is needed.
 //  - release() donates a tensor's storage back to the pool. Tensors that

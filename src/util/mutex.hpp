@@ -1,23 +1,14 @@
 #pragma once
 // Annotated locking primitives (SENECA-Check).
 //
-//   Mutex        — std::mutex wrapper carrying clang thread-safety
-//                  capability attributes, so members can be GUARDED_BY it
-//                  and -Wthread-safety verifies every access path.
-//   OrderedMutex — Mutex plus a runtime lock-order checker: each blocking
-//                  acquisition records "held -> acquiring" edges in a
-//                  process-wide acquisition graph and throws
-//                  LockOrderViolation at the FIRST inversion (a cycle in
-//                  the graph == a potential deadlock), long before the
-//                  interleaving that would actually deadlock occurs.
-//                  Checking defaults to on in debug builds (NDEBUG unset)
-//                  and off in release; set_checking_enabled overrides.
-//   DebugMutex   — OrderedMutex in checked builds, plain Mutex otherwise.
-//                  Use it for cross-component mutexes where ordering
-//                  mistakes are plausible; keep plain Mutex on hot paths.
-//   LockGuard<M> — scoped lock over either, visible to the analysis.
-//   CondVar      — condition variable that waits through a LockGuard, so
-//                  waiting code keeps the annotated lock discipline.
+//   Mutex     — std::mutex wrapper carrying clang thread-safety capability
+//               attributes, so members can be GUARDED_BY it and
+//               -Wthread-safety verifies every access path. Lock-order
+//               inversions are TSan's job (CI runs it with
+//               second_deadlock_stack=1).
+//   LockGuard — scoped lock over a Mutex, visible to the analysis.
+//   CondVar   — condition variable that waits through a LockGuard, so
+//               waiting code keeps the annotated lock discipline.
 //
 // Predicates passed to CondVar run under the lock but are invoked from
 // unannotated std:: internals; annotate the lambda itself:
@@ -26,8 +17,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <stdexcept>
-#include <string>
 
 #include "util/thread_annotations.hpp"
 
@@ -35,9 +24,7 @@ namespace seneca::util {
 
 class CAPABILITY("mutex") Mutex {
  public:
-  /// `name` is accepted (and ignored) so Mutex and OrderedMutex are
-  /// drop-in interchangeable through the DebugMutex alias.
-  explicit Mutex(const char* /*name*/ = "mutex") {}
+  Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
@@ -52,63 +39,17 @@ class CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// Thrown by OrderedMutex at the first acquisition that closes a cycle in
-/// the process-wide lock-order graph. The message names both ends of the
-/// inverted pair.
-class LockOrderViolation : public std::logic_error {
- public:
-  explicit LockOrderViolation(const std::string& what)
-      : std::logic_error(what) {}
-};
-
-class CAPABILITY("mutex") OrderedMutex {
- public:
-  explicit OrderedMutex(const char* name = "mutex");
-  ~OrderedMutex();
-  OrderedMutex(const OrderedMutex&) = delete;
-  OrderedMutex& operator=(const OrderedMutex&) = delete;
-
-  /// Blocking acquire. With checking enabled, first records the edges
-  /// held-mutex -> this and throws LockOrderViolation (before blocking)
-  /// if any edge closes a cycle.
-  void lock() ACQUIRE();
-  void unlock() RELEASE();
-  /// Non-blocking acquires cannot contribute a blocking cycle, so a
-  /// successful try_lock only updates the held set, never flags.
-  bool try_lock() TRY_ACQUIRE(true);
-
-  std::mutex& native() { return mu_; }
-  const char* name() const { return name_; }
-
-  /// Process-wide switch; defaults to on iff NDEBUG is not defined.
-  static void set_checking_enabled(bool on);
-  static bool checking_enabled();
-  /// Drops every recorded edge (test isolation between scenarios).
-  static void reset_order_graph();
-
- private:
-  std::mutex mu_;
-  const char* name_;
-};
-
-#if !defined(NDEBUG) || defined(SENECA_LOCK_ORDER_CHECK)
-using DebugMutex = OrderedMutex;
-#else
-using DebugMutex = Mutex;
-#endif
-
-template <typename M>
 class SCOPED_CAPABILITY LockGuard {
  public:
-  explicit LockGuard(M& m) ACQUIRE(m) : mu_(m) { mu_.lock(); }
+  explicit LockGuard(Mutex& m) ACQUIRE(m) : mu_(m) { mu_.lock(); }
   ~LockGuard() RELEASE() { mu_.unlock(); }
   LockGuard(const LockGuard&) = delete;
   LockGuard& operator=(const LockGuard&) = delete;
 
-  M& mutex() { return mu_; }
+  Mutex& mutex() { return mu_; }
 
  private:
-  M& mu_;
+  Mutex& mu_;
 };
 
 class CondVar {
@@ -119,16 +60,16 @@ class CondVar {
   /// Predicate wait; `pred` runs with the guard's mutex held (annotate it
   /// REQUIRES(mutex)). Must not throw: the lock is temporarily adopted by
   /// a std::unique_lock, and an escaping exception would double-unlock.
-  template <typename M, typename Pred>
-  void wait(LockGuard<M>& guard, Pred pred) {
+  template <typename Pred>
+  void wait(LockGuard& guard, Pred pred) {
     std::unique_lock<std::mutex> lk(guard.mutex().native(), std::adopt_lock);
     cv_.wait(lk, std::move(pred));
     lk.release();  // hand ownership back to the LockGuard
   }
 
   /// Returns pred() at wake-up (false == timed out with pred still false).
-  template <typename M, typename Clock, typename Duration, typename Pred>
-  bool wait_until(LockGuard<M>& guard,
+  template <typename Clock, typename Duration, typename Pred>
+  bool wait_until(LockGuard& guard,
                   std::chrono::time_point<Clock, Duration> tp, Pred pred) {
     std::unique_lock<std::mutex> lk(guard.mutex().native(), std::adopt_lock);
     const bool satisfied = cv_.wait_until(lk, tp, std::move(pred));

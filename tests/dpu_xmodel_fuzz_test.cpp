@@ -3,10 +3,12 @@
 // so corrupted or adversarial bytes must produce a descriptive
 // std::runtime_error — never a crash, hang, or unbounded allocation. The
 // main sweep is a 4000-iteration seeded byte-mutation fuzz mirroring the
-// wire-frame suite; targeted tests pin the count-field allocation guards.
+// wire-frame suite; targeted tests pin the count-field allocation guards,
+// the shape-size guard and the verifier's overflow-safe weight count.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -84,6 +86,37 @@ TEST(XModelWire, HugeBiasCountRejectedBeforeAllocation) {
       EXPECT_NE(std::string(e.what()).find("weight count"), std::string::npos);
     }
   }
+}
+
+TEST(XModelWire, HugeShapeRejectedBeforeUse) {
+  // Dims whose product passes 2^63 would overflow Shape::numel() in every
+  // consumer (the verifier's footprint checks first).
+  XModel m = compiled(1);
+  m.input_shape = Shape{1 << 22, 1 << 22, 1 << 22};
+  try {
+    XModel::deserialize(m.serialize());
+    FAIL() << "decoded a 2^66-element input shape";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("shape too large"),
+              std::string::npos);
+  }
+}
+
+TEST(XModelWire, HugeKernelIsAFindingNotAnOverflow) {
+  // A corrupted kernel field overflows k*k*ci*co; the verifier must report
+  // the mismatch without doing the overflowing arithmetic.
+  XModel m = compiled(1);
+  auto conv = std::find_if(
+      m.layers.begin(), m.layers.end(),
+      [](const XLayer& l) { return l.kind == XLayer::Kind::kConv; });
+  ASSERT_NE(conv, m.layers.end());
+  conv->kernel = std::int64_t{1} << 40;
+  const std::vector<Finding> findings = verify(m);
+  EXPECT_TRUE(std::any_of(
+      findings.begin(), findings.end(), [](const Finding& f) {
+        return f.check == "structure" &&
+               f.message.find("(overflow)") != std::string::npos;
+      }));
 }
 
 TEST(XModelWire, TruncatedPrefixesAlwaysThrow) {

@@ -1,10 +1,11 @@
-// VART runtime tests: async submit/collect semantics, batch ordering,
-// bit-exactness against direct core execution under concurrency.
+// VART runtime tests: batch ordering, bit-exactness against direct core
+// execution for every worker count, and one-batch failures (a failing frame
+// on a worker, the fault hook) reported in the caller's thread.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dpu/compiler.hpp"
@@ -48,10 +49,9 @@ TEST(VartRunner, SingleJobMatchesDirectExecution) {
   dpu::DpuCoreSim direct(&xm);
   VartRunner runner(xm, 1);
   const TensorI8 input = random_input(11);
-  runner.submit(input);
-  auto [id, output] = runner.collect();
-  EXPECT_EQ(id, 0u);
-  EXPECT_EQ(tensor::max_abs_diff(output, direct.run(input).output), 0.0);
+  const auto outputs = runner.run_batch({input});
+  ASSERT_EQ(outputs.size(), 1u);
+  EXPECT_EQ(tensor::max_abs_diff(outputs[0], direct.run(input).output), 0.0);
 }
 
 TEST(VartRunner, BatchPreservesInputOrder) {
@@ -66,17 +66,6 @@ TEST(VartRunner, BatchPreservesInputOrder) {
     EXPECT_EQ(tensor::max_abs_diff(outputs[i], direct.run(inputs[i]).output), 0.0)
         << "job " << i;
   }
-}
-
-TEST(VartRunner, JobIdsAreUnique) {
-  const dpu::XModel xm = build_model();
-  VartRunner runner(xm, 2);
-  std::set<std::uint64_t> submitted;
-  for (int i = 0; i < 8; ++i) submitted.insert(runner.submit(random_input(static_cast<std::uint64_t>(i))));
-  EXPECT_EQ(submitted.size(), 8u);
-  std::set<std::uint64_t> collected;
-  for (int i = 0; i < 8; ++i) collected.insert(runner.collect().first);
-  EXPECT_EQ(collected, submitted);
 }
 
 TEST(VartRunner, MultiThreadMatchesSingleThread) {
@@ -98,93 +87,24 @@ TEST(VartRunner, WorkerCountClampedToAtLeastOne) {
   EXPECT_EQ(runner.num_workers(), 1);
 }
 
-TEST(VartRunner, BoundedQueueReportsBackpressure) {
-  const dpu::XModel xm = build_model();
-  VartRunner runner(xm, 1, /*max_pending=*/2);
-  EXPECT_EQ(runner.max_pending(), 2u);
-  // A tight submission loop outruns the single worker by orders of
-  // magnitude: once two jobs are queued (plus one executing), try_submit
-  // must report backpressure instead of growing the queue.
-  int accepted = 0;
-  std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 10; ++i) {
-    if (auto id = runner.try_submit(random_input(static_cast<std::uint64_t>(i)))) {
-      ids.push_back(*id);
-      ++accepted;
-    }
-  }
-  EXPECT_GE(accepted, 2);
-  EXPECT_LT(accepted, 10);
-  EXPECT_LE(runner.pending(), 2u);
-  for (int i = 0; i < accepted; ++i) runner.collect();
-  // Draining frees space again.
-  EXPECT_TRUE(runner.try_submit(random_input(77)).has_value());
-  runner.collect();
-}
-
-TEST(VartRunner, BoundedBlockingSubmitMakesProgress) {
-  const dpu::XModel xm = build_model();
-  VartRunner runner(xm, 2, /*max_pending=*/1);
-  std::vector<std::uint64_t> ids;
-  for (int i = 0; i < 6; ++i) {
-    // submit() blocks on the full queue and resumes as workers drain it.
-    ids.push_back(runner.submit(random_input(200 + static_cast<std::uint64_t>(i))));
-  }
-  std::set<std::uint64_t> collected;
-  for (int i = 0; i < 6; ++i) collected.insert(runner.collect().first);
-  EXPECT_EQ(collected.size(), 6u);
-}
-
-TEST(VartRunner, UnboundedTrySubmitNeverFails) {
-  const dpu::XModel xm = build_model();
-  VartRunner runner(xm, 1);  // default: unbounded
-  EXPECT_EQ(runner.max_pending(), 0u);
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE(runner.try_submit(random_input(static_cast<std::uint64_t>(i))).has_value());
-  }
-  for (int i = 0; i < 20; ++i) runner.collect();
-}
-
 TEST(VartRunner, DrainsOnDestruction) {
   const dpu::XModel xm = build_model();
   {
     VartRunner runner(xm, 2);
-    runner.submit(random_input(1));
-    runner.collect();
-  }  // destructor must join cleanly with no pending work
+    EXPECT_EQ(runner.run_batch({random_input(1), random_input(2)}).size(), 2u);
+  }  // destructor must join its workers cleanly
   SUCCEED();
 }
 
-TEST(VartRunner, SubmitAfterStopIsRejected) {
-  // Regression: the bounded-mode submit wait also returns on stop, so a
-  // racing submit could enqueue a job after the workers were joined — a
-  // later collect() on that job hung forever. Post-stop submits must be
-  // rejected instead of silently enqueued.
-  const dpu::XModel xm = build_model();
-  VartRunner runner(xm, 2, /*max_pending=*/2);
-  runner.submit(random_input(1));
-  runner.collect();
-  runner.stop();
-  EXPECT_TRUE(runner.stopped());
-  EXPECT_FALSE(runner.try_submit(random_input(2)).has_value());
-  EXPECT_THROW(runner.submit(random_input(3)), std::runtime_error);
-  // Nothing outstanding: collect() reports the misuse instead of hanging.
-  EXPECT_THROW(runner.collect(), std::runtime_error);
-  runner.stop();  // idempotent
-}
-
-TEST(VartRunner, StopDrainsSubmittedJobsBeforeRejecting) {
+TEST(VartRunner, FrameFailureOnAWorkerFailsTheBatchInTheCallersThread) {
   const dpu::XModel xm = build_model();
   VartRunner runner(xm, 2);
-  std::set<std::uint64_t> submitted;
-  for (int i = 0; i < 4; ++i) {
-    submitted.insert(runner.submit(random_input(300 + static_cast<std::uint64_t>(i))));
-  }
-  runner.stop();  // joins only after the workers drained the queue
-  std::set<std::uint64_t> collected;
-  for (int i = 0; i < 4; ++i) collected.insert(runner.collect().first);
-  EXPECT_EQ(collected, submitted);
-  EXPECT_THROW(runner.collect(), std::runtime_error);
+  TensorI8 wrong(Shape{15, 15, 1});
+  std::vector<TensorI8> inputs{random_input(1), std::move(wrong),
+                               random_input(2)};
+  EXPECT_THROW(runner.run_batch(inputs), std::invalid_argument);
+  // The workers survived: the next batch runs normally.
+  EXPECT_EQ(runner.run_batch({random_input(3), random_input(4)}).size(), 2u);
 }
 
 TEST(VartRunner, RunFaultHookFailsTheBatchInTheCallersThread) {
@@ -198,7 +118,7 @@ TEST(VartRunner, RunFaultHookFailsTheBatchInTheCallersThread) {
   });
   std::vector<tensor::TensorI8> inputs{random_input(1), random_input(2)};
   EXPECT_THROW(runner.run_batch(inputs), std::runtime_error);
-  // The fault hit before any submit: the runner is still fully usable.
+  // The fault hit before any frame ran: the runner is still fully usable.
   const auto outputs = runner.run_batch(inputs);
   EXPECT_EQ(outputs.size(), 2u);
   EXPECT_EQ(calls, 2);

@@ -1,8 +1,8 @@
 // BoardDaemon + RemoteBoard integration, all in-process (the daemon runs on
 // a thread, no fork): hello handshake, request round-trips over loopback and
-// unix sockets, telemetry-backed board probes, control verbs, dead-worker
-// semantics, cross-board migration through a ClusterRouter of RemoteBoards,
-// and online re-pricing visibility end to end.
+// unix sockets, wrong-shaped frame rejection, telemetry-backed board probes,
+// control verbs, dead-worker semantics, cross-board migration through a
+// ClusterRouter of RemoteBoards, and online re-pricing visibility end to end.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -183,6 +183,29 @@ TEST(RemoteBoardTest, ControlFaultRoundTrips) {
   EXPECT_TRUE(saw_fault);
   EXPECT_TRUE(fx.daemon().board().fault_injected());
   board.inject_fault(false);
+  board.shutdown();
+}
+
+TEST(RemoteBoardTest, WrongShapedFrameIsRejectedAndWorkerSurvives) {
+  // A wire frame's tensor shape comes from outside the worker; a wrong one
+  // must be rejected without taking the worker down.
+  DaemonFixture fx(small_board("wire0", shared_xmodel()));
+  RemoteBoard board(0, fx.endpoint(), fast_remote());
+  const serve::Response bad =
+      board.submit(serve::Priority::kInteractive, make_input(31), 0.0).get();
+  EXPECT_EQ(bad.status, serve::Status::kRejected);
+  const serve::Response good =
+      board.submit(serve::Priority::kInteractive, make_input(32), 0.0).get();
+  EXPECT_EQ(good.status, serve::Status::kOk);
+  EXPECT_FALSE(board.dead());
+  EXPECT_FALSE(board.fault_injected());
+  // The same worker answered both: a restarted one would have lost the
+  // rejection from its counters.
+  ASSERT_TRUE(board.refresh(2000.0));
+  const serve::MetricsSnapshot m = board.metrics();
+  EXPECT_EQ(m.rejected, 1u);
+  EXPECT_EQ(m.errors, 0u);
+  EXPECT_EQ(m.served, 1u);
   board.shutdown();
 }
 

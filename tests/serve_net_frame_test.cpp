@@ -53,8 +53,12 @@ TEST(WireHeader, RejectsBadVersion) {
   FrameHeader h;
   std::uint8_t buf[kHeaderSize];
   encode_header(h, buf);
-  buf[4] = kWireVersion + 1;
-  EXPECT_THROW(decode_header(buf), FrameError);
+  // A newer peer, and an older one (version 1 telemetry carried a byte
+  // version 2 dropped, so its frames would misparse).
+  for (const int version : {kWireVersion + 1, kWireVersion - 1}) {
+    buf[4] = static_cast<std::uint8_t>(version);
+    EXPECT_THROW(decode_header(buf), FrameError) << "version " << version;
+  }
 }
 
 TEST(WireHeader, RejectsUnknownFrameType) {
@@ -206,7 +210,6 @@ TEST(WirePayload, TelemetryRoundTrip) {
   t.queue_depth = 7;
   t.level = 1;
   t.fault = true;
-  t.runner_saturated = true;
   t.ewma_latency_ms = 12.5;
   t.frames_served = 88;
   t.energy_joules = 3.25;
@@ -218,7 +221,6 @@ TEST(WirePayload, TelemetryRoundTrip) {
   EXPECT_EQ(d.migrated, 3u);
   EXPECT_EQ(d.level, 1);
   EXPECT_TRUE(d.fault);
-  EXPECT_TRUE(d.runner_saturated);
   ASSERT_EQ(d.rungs.size(), 1u);
   EXPECT_DOUBLE_EQ(d.rungs[0].occupancy, 1.5);
 }

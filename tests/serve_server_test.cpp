@@ -1,7 +1,8 @@
 // InferenceServer tests: end-to-end bit-exactness against the reference
 // core simulator, interactive-before-batch scheduling under contention,
 // graceful degradation to a smaller ladder model under synthetic overload,
-// overload rejection, deadline expiry, and shutdown semantics.
+// overload rejection, wrong-shaped frame rejection, deadline expiry, and
+// shutdown semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -394,6 +395,27 @@ TEST(InferenceServer, DispatchFaultFailsOnlyItsBatchAndServerKeepsServing) {
   EXPECT_EQ(m.errors, 1u);
   EXPECT_EQ(m.served, 3u);
   EXPECT_EQ(m.completed(), 4u);
+}
+
+TEST(InferenceServer, WrongShapedFrameIsRejectedAndServingContinues) {
+  // A wrong-shaped frame is turned away at submit, before it is queued: in
+  // a batch it would reach the core's shape check and fail its neighbours.
+  const dpu::XModel model = build_model(16, 2, 4, 3);
+  std::vector<ModelSpec> ladder;
+  ladder.push_back({"1M", model, 2});
+  InferenceServer server(std::move(ladder), fast_config());
+
+  const Response bad =
+      server.submit(Priority::kInteractive, random_input(15, 1)).get();
+  EXPECT_EQ(bad.status, Status::kRejected);
+  const Response good =
+      server.submit(Priority::kInteractive, random_input(16, 2)).get();
+  EXPECT_EQ(good.status, Status::kOk);
+
+  const auto m = server.metrics();
+  EXPECT_EQ(m.rejected, 1u);
+  EXPECT_EQ(m.admitted, 1u) << "the bad frame must never reach the queue";
+  EXPECT_EQ(m.served, 1u);
 }
 
 TEST(InferenceServer, ShutdownDrainsThenRejectsNewWork) {
