@@ -2,7 +2,6 @@
 // (B512 / B1024 / B4096 — the soft-DSA's configurability the paper credits
 // in Sec. II) moves throughput, utilization, and energy efficiency for the
 // smallest and largest SENECA models.
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -38,18 +37,9 @@ void print_table() {
       "approaches it for the dense 16M network.\n");
 }
 
-void BM_CompileXmodel(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::build_timing_xmodel("1M"));
-  }
-}
-BENCHMARK(BM_CompileXmodel)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,7 +3,6 @@
 // class-weighted Focal Tversky (+CE sharpening), then compares per-organ
 // DSC — the claim being that the weighted loss rescues the rare organs
 // (bladder, kidneys) from the class-imbalance collapse.
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -79,22 +78,9 @@ void print_table() {
       "columns (bladder, kidneys) — §III-C / Fig. 6 discussion.\n");
 }
 
-void BM_SenecaLossCompute(benchmark::State& state) {
-  auto loss = nn::make_seneca_loss({12.0, 0.22, 0.025, 0.34, 0.047, 0.36});
-  tensor::TensorF probs(tensor::Shape{64, 64, 6}, 1.f / 6.f);
-  nn::LabelMap labels(tensor::Shape{64, 64}, 0);
-  tensor::TensorF grad(probs.shape());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(loss->compute(probs, labels, grad));
-  }
-}
-BENCHMARK(BM_SenecaLossCompute)->Unit(benchmark::kMicrosecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

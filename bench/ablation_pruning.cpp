@@ -2,7 +2,6 @@
 // SENECA model. Sweeps the pruning fraction and reports the throughput /
 // energy-efficiency gains on the DPU against the accuracy cost — the
 // trade-off the authors propose to explore next.
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -62,22 +61,9 @@ void print_table() {
       "(no fine-tuning after pruning is applied here).\n");
 }
 
-void BM_Prune1M(benchmark::State& state) {
-  auto graph = nn::build_unet2d(core::unet_config(core::zoo_entry("1M"), 64));
-  const quant::FGraph fg = quant::fold(*graph);
-  quant::PruneOptions opts;
-  opts.fraction = 0.25;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(quant::prune(fg, opts));
-  }
-}
-BENCHMARK(BM_Prune1M)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

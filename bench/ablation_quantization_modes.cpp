@@ -2,7 +2,6 @@
 // (AdaQuant-style fast finetuning) vs QAT vs the FP32 reference. The paper
 // reports that FFQ and QAT brought no improvement over PTQ for these
 // models; this bench regenerates that comparison on the phantom.
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -69,29 +68,9 @@ void print_table() {
       "ships with plain PTQ.\n");
 }
 
-void BM_PtqQuantize(benchmark::State& state) {
-  auto art = bench::run_accuracy_workflow("1M");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(quant::quantize(art.folded, art.calibration.images));
-  }
-}
-BENCHMARK(BM_PtqQuantize)->Unit(benchmark::kMillisecond)->Iterations(2);
-
-void BM_FfqQuantize(benchmark::State& state) {
-  auto art = bench::run_accuracy_workflow("1M");
-  quant::QuantizeOptions opts;
-  opts.mode = quant::QuantMode::kFFQ;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(quant::quantize(art.folded, art.calibration.images, opts));
-  }
-}
-BENCHMARK(BM_FfqQuantize)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -12,7 +12,10 @@
 //   chaos  — on the live wire fleet: SIGKILL one worker mid-traffic.
 //            Every future must resolve, no kMigrated/kExpired may leak to
 //            clients, the cluster must report zero expired, and the
-//            supervisor must restart the dead worker (bounded wait).
+//            supervisor must restart the dead worker (bounded wait). The
+//            act reports restart_ms, crash-to-ready: from the SIGKILL to
+//            the first 1 ms poll that sees the slot with a new pid and a
+//            live board (-1 on timeout). It is a reading, not a gate.
 //
 // Simulated FPS is DES-priced board time (the ZCU104s under simulation),
 // so the ratio measures what the wire costs the serving pipeline —
@@ -131,14 +134,19 @@ EpisodeResult run_episode(ClusterRouter& router, int clients, int requests,
   return out;
 }
 
-bool wait_until(double timeout_ms, const std::function<bool()>& pred) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double, std::milli>(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+/// Milliseconds from `t0` to the first 1 ms poll at which `pred` holds;
+/// -1 once `timeout_ms` has passed without it.
+double ms_until(std::chrono::steady_clock::time_point t0, double timeout_ms,
+                const std::function<bool()>& pred) {
+  for (;;) {
+    const bool hit = pred();
+    const double ms = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    if (hit) return ms;
+    if (ms >= timeout_ms) return -1.0;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  return pred();
 }
 
 }  // namespace
@@ -240,7 +248,16 @@ int main(int argc, char** argv) try {
   }
   std::printf("chaos:  SIGKILL worker slot %d (pid %d) mid-traffic\n", victim,
               static_cast<int>(victim_pid));
+  const auto killed_at = std::chrono::steady_clock::now();
   ::kill(victim_pid, SIGKILL);
+  // Crash-to-ready is polled beside the traffic, not after it drains.
+  std::future<double> restart = std::async(std::launch::async, [&] {
+    return ms_until(killed_at, 20000.0, [&] {
+      const pid_t pid = sup.worker_pid(victim);
+      auto board = sup.worker_board(victim);
+      return pid > 0 && pid != victim_pid && board && !board->dead();
+    });
+  });
   for (int i = half; i < requests; ++i) {
     futs.push_back(
         router.submit(serve::Priority::kBatch, chaos_in, 0.0));
@@ -257,11 +274,8 @@ int main(int argc, char** argv) try {
       default: ++chaos.errors; break;
     }
   }
-  const bool restarted = wait_until(20000.0, [&] {
-    const pid_t pid = sup.worker_pid(victim);
-    auto board = sup.worker_board(victim);
-    return pid > 0 && pid != victim_pid && board && !board->dead();
-  });
+  const double restart_ms = restart.get();
+  const bool restarted = restart_ms >= 0.0;
   const serve::cluster::ClusterSnapshot chaos_snap = router.snapshot();
   sup.stop();
   router.shutdown();
@@ -274,11 +288,11 @@ int main(int argc, char** argv) try {
                         chaos_snap.expired == 0 && restarted;
   std::printf(
       "chaos:  %d ok, %d rejected, %d errors, %d leaked; expired=%llu, "
-      "migrations=%llu, restart %s\n",
+      "migrations=%llu, restart %s, restart_ms=%.1f\n",
       chaos.ok, chaos.rejected, chaos.errors, chaos.leaked,
       static_cast<unsigned long long>(chaos_snap.expired),
       static_cast<unsigned long long>(chaos_snap.migrations),
-      restarted ? "ok" : "TIMED OUT");
+      restarted ? "ok" : "TIMED OUT", restart_ms);
 
   eval::Table table({"Act", "Boards", "sim FPS", "FPS/W", "OK", "Rejected",
                      "Errors", "Wall s"});
@@ -326,6 +340,7 @@ int main(int argc, char** argv) try {
       .field("expired", static_cast<std::uint64_t>(chaos_snap.expired))
       .field("migrations", static_cast<std::uint64_t>(chaos_snap.migrations))
       .field("restarted", restarted)
+      .field("restart_ms", restart_ms)
       .field("chaos_ok", chaos_ok);
   bench::write_json_file(json_path, json.str());
   return strict && !pass ? 1 : 0;

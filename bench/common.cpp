@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 
 namespace seneca::bench {
 
@@ -178,6 +179,8 @@ void write_json_file(const std::string& path, const std::string& json) {
   if (path.empty()) return;
   std::ofstream out(path);
   out << json;
+  out.close();
+  if (!out) throw std::runtime_error("cannot write " + path);
   std::printf("wrote %s\n", path.c_str());
 }
 

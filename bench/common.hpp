@@ -90,7 +90,8 @@ class JsonWriter {
 
 /// Writes pre-rendered JSON to `path` and prints "wrote <path>" (the
 /// convention CI artifact steps grep for). No-op when `path` is empty, so
-/// callers can pass --json through unconditionally.
+/// callers can pass --json through unconditionally. Throws
+/// std::runtime_error when the file cannot be opened or written.
 void write_json_file(const std::string& path, const std::string& json);
 
 }  // namespace seneca::bench

@@ -2,7 +2,6 @@
 // GPU baseline vs the INT8 ZCU104 deployment with 1, 2 and 4 VART threads
 // (2000 images, 10 runs each). Extended with 8 threads to reproduce the
 // Sec. IV-B observation that more threads add power but no throughput.
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -64,22 +63,9 @@ void print_figure() {
       "grow to 4 threads and vanish at 8 (more power, no FPS — Sec. IV-B).\n");
 }
 
-void BM_ThroughputSimulation(benchmark::State& state) {
-  const dpu::XModel xm = core::build_timing_xmodel("1M");
-  runtime::SocConfig soc;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        runtime::simulate_throughput(xm, soc, static_cast<int>(state.range(0)), 2000));
-  }
-  state.SetLabel(std::to_string(state.range(0)) + " threads");
-}
-BENCHMARK(BM_ThroughputSimulation)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_figure();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,7 +1,6 @@
 // Figure 4: DSC x Energy-Efficiency (Eq. 7) for the five 4-thread FPGA
 // configurations — the model-selection criterion that crowns the 1M model
 // as SENECA.
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -50,19 +49,9 @@ void print_figure() {
       best_vs_worst);
 }
 
-void BM_Fig4DataPoint(benchmark::State& state) {
-  const dpu::XModel xm = core::build_timing_xmodel("1M");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bench::measure_fpga(xm, 4, 500, 3));
-  }
-}
-BENCHMARK(BM_Fig4DataPoint)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_figure();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,7 +2,6 @@
 // slice, the ground-truth segmentation, the INT8 SENECA output, and the
 // FP32 output as PGM/PPM images (liver red, bladder green, lungs blue,
 // kidneys yellow, bones white), under bench_outputs/fig5/.
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <filesystem>
@@ -68,21 +67,9 @@ void print_figure() {
   std::printf("colors: liver red, bladder green, lungs blue, kidneys yellow, bones white\n");
 }
 
-void BM_RenderSegmentationOverlay(benchmark::State& state) {
-  tensor::TensorF ct(tensor::Shape{256, 256, 1}, 0.f);
-  tensor::Tensor<std::int32_t> labels(tensor::Shape{256, 256}, 0);
-  for (std::int64_t i = 0; i < labels.numel(); i += 7) labels[i] = 1 + (i % 5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::render_segmentation(ct, labels));
-  }
-}
-BENCHMARK(BM_RenderSegmentationOverlay)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_figure();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

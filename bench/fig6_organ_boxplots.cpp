@@ -1,6 +1,5 @@
 // Figure 6: per-organ Dice-score boxplots for SENECA (the 1M INT8 model)
 // over per-patient test cases, rendered as ASCII boxplots.
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -52,20 +51,9 @@ void print_figure() {
   }
 }
 
-void BM_PerCaseEvaluation(benchmark::State& state) {
-  auto art = bench::run_accuracy_workflow("1M", /*best_profile=*/true);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::per_case_organ_dice_int8(art.xmodel, art.dataset.test));
-  }
-}
-BENCHMARK(BM_PerCaseEvaluation)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_figure();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

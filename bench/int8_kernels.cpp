@@ -5,10 +5,10 @@
 // per-kernel speedup. The end-to-end section runs the functional DPU core
 // simulator over every model-zoo ladder rung and reports frames/second per
 // backend — scalar (the int64 reference, no arena: the pre-kernel-layer
-// executor), generic (portable int32), and SIMD (AVX2/NEON) with a
-// TensorArena, which is what VartRunner workers run in production. Every
-// backend's output is compared bit-for-bit against the scalar
-// quant::QGraph reference on a deterministic pseudo-random input.
+// executor) and SIMD (AVX2/NEON) with a TensorArena, which is what
+// VartRunner workers run in production. Every backend's output is compared
+// bit-for-bit against the scalar quant::QGraph reference on a deterministic
+// pseudo-random input.
 //
 //   ./int8_kernels [--input 128] [--min-time 0.4] [--max-frames 60]
 //                  [--min-speedup 4] [--json int8_kernels.json] [--strict]
@@ -46,9 +46,9 @@ tensor::TensorI8 seeded_input(const tensor::Shape& shape, std::uint64_t seed) {
   return t;
 }
 
-/// Backends to bench: scalar reference first, then everything built in.
+/// Backends to bench: scalar reference first, then SIMD where built.
 std::vector<Backend> bench_backends() {
-  std::vector<Backend> v{Backend::kScalar, Backend::kGeneric};
+  std::vector<Backend> v{Backend::kScalar};
   if (quant::kernels::simd_available()) v.push_back(Backend::kSimd);
   return v;
 }

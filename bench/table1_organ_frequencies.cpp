@@ -1,7 +1,6 @@
 // Table I: organ frequencies in the CT-ORG dataset, expressed as pixel
 // percentage of labeled targets. Reproduced over the full 140-volume
 // phantom dataset (labels only, so a reduced raster is exact enough).
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -31,30 +30,9 @@ void print_table() {
       freq[5], freq[0]);
 }
 
-void BM_PhantomSliceRender(benchmark::State& state) {
-  data::PhantomConfig cfg;
-  cfg.resolution = state.range(0);
-  data::PhantomGenerator gen(cfg, 42);
-  int patient = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gen.render_slice(patient++ % 16, 0.5));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PhantomSliceRender)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
-
-void BM_FrequencyAnalysis(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(data::raw_organ_frequencies(4, 8, 64, 7));
-  }
-}
-BENCHMARK(BM_FrequencyAnalysis)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

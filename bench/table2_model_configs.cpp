@@ -2,7 +2,6 @@
 // configurations. Our standard two-conv-per-stack U-Net matches the paper's
 // parameter RATIOS exactly (1 : 2.25 : 4 : 7.56 : 16); the uniform absolute
 // offset is discussed in EXPERIMENTS.md.
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -34,31 +33,9 @@ void print_table() {
   std::printf("%s", table.render().c_str());
 }
 
-void BM_BuildUNet(benchmark::State& state) {
-  const auto& entry = core::model_zoo()[static_cast<std::size_t>(state.range(0))];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(nn::build_unet2d(core::unet_config(entry, 64)));
-  }
-  state.SetLabel(entry.name);
-}
-BENCHMARK(BM_BuildUNet)->Arg(0)->Arg(4)->Unit(benchmark::kMillisecond);
-
-void BM_ForwardPass64(benchmark::State& state) {
-  const auto& entry = core::model_zoo()[static_cast<std::size_t>(state.range(0))];
-  auto graph = nn::build_unet2d(core::unet_config(entry, 64));
-  tensor::TensorF x(tensor::Shape{64, 64, 1}, 0.25f);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(graph->forward(x));
-  }
-  state.SetLabel(entry.name);
-}
-BENCHMARK(BM_ForwardPass64)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

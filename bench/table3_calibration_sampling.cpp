@@ -1,6 +1,5 @@
 // Table III: organ frequencies in the PTQ calibration set before (random
 // sampling) and after (manual sampling) the frequency correction.
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -48,27 +47,9 @@ void print_table() {
       "pool's bladder-bearing slice count at this scale.\n");
 }
 
-void BM_RandomSampler(benchmark::State& state) {
-  static const data::Dataset ds = build_pool();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(data::sample_calibration_random(ds.train, 120, 7));
-  }
-}
-BENCHMARK(BM_RandomSampler)->Unit(benchmark::kMillisecond);
-
-void BM_ManualGreedySampler(benchmark::State& state) {
-  static const data::Dataset ds = build_pool();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(data::sample_calibration_manual(ds.train, 120));
-  }
-}
-BENCHMARK(BM_ManualGreedySampler)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,7 +6,6 @@
 // calibrated timing models; DSC rows come from the accuracy workflow
 // (64x64 phantom, cached after the first run — expect several minutes of
 // one-time training when the cache is cold).
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 
@@ -81,32 +80,9 @@ void print_table() {
       "training scale — see EXPERIMENTS.md.)\n");
 }
 
-void BM_FpgaMeasurement(benchmark::State& state) {
-  const dpu::XModel xm = core::build_timing_xmodel("1M");
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bench::measure_fpga(xm, 4, 2000, 10));
-  }
-}
-BENCHMARK(BM_FpgaMeasurement)->Unit(benchmark::kMillisecond);
-
-void BM_Int8InferenceHost64(benchmark::State& state) {
-  // Host-side cost of the bit-exact functional DPU simulation (one 64x64
-  // slice through the 1M model).
-  auto art = bench::run_accuracy_workflow("1M");
-  dpu::DpuCoreSim core(&art.xmodel);
-  const auto input = quant::quantize_input(art.qgraph,
-                                           art.dataset.test[0].sample.image);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core.run(input));
-  }
-}
-BENCHMARK(BM_Int8InferenceHost64)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

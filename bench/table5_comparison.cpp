@@ -5,7 +5,6 @@
 // unweighted Dice loss (the CT-ORG recipe has no class weighting), which is
 // the mechanism behind its poor small-organ DSC and high per-case variance.
 // Also reports SENECA's global TPR/TNR (Sec. IV-D).
-#include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstdio>
@@ -206,25 +205,9 @@ void print_table() {
       "small organs competitive with low variance.\n");
 }
 
-void BM_Unet3DForward(benchmark::State& state) {
-  nn::UNet3DConfig cfg;
-  cfg.depth_vox = 8;
-  cfg.input_size = 16;
-  cfg.depth = 2;
-  cfg.base_filters = 4;
-  auto net = nn::build_unet3d(cfg);
-  tensor::TensorF x(tensor::Shape{8, 16, 16, 1}, 0.1f);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net->forward(x));
-  }
-}
-BENCHMARK(BM_Unet3DForward)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

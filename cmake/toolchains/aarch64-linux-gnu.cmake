@@ -10,8 +10,9 @@
 #     -DSENECA_BUILD_EXAMPLES=OFF
 #
 # (Tests need a cross-built GTest — CI compiles one from the distro source
-# package with this same toolchain and points CMAKE_PREFIX_PATH at it;
-# bench/examples additionally need google-benchmark and stay off.)
+# package with this same toolchain and points CMAKE_PREFIX_PATH at it. Bench
+# and examples need no further library; CI leaves them off because it runs
+# only the kernel suite and seneca_boardd under qemu.)
 
 set(CMAKE_SYSTEM_NAME Linux)
 set(CMAKE_SYSTEM_PROCESSOR aarch64)

@@ -1,10 +1,10 @@
 #pragma once
 // Open-loop arrival processes for the traffic harness.
 //
-// The closed-loop sweeps the repo grew up with (serve_demo, serve_scaling)
-// cannot model real arrival behaviour: a closed-loop client waits for its
-// previous response, so the offered load self-throttles exactly when the
-// system saturates — the regime where tail latency and isolation actually
+// The closed-loop sweeps the repo grew up with (serve_demo) cannot model
+// real arrival behaviour: a closed-loop client waits for its previous
+// response, so the offered load self-throttles exactly when the system
+// saturates — the regime where tail latency and isolation actually
 // matter. An open-loop trace fixes arrival times up front (they do not care
 // how the server is doing), which is how traffic from a large user
 // population behaves: a million independent users do not coordinate their

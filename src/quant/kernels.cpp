@@ -2,10 +2,8 @@
 
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <vector>
 
 #include "quant/kernels_internal.hpp"
 
@@ -33,8 +31,8 @@ bool simd_available() {
 
 Backend active_backend() {
   const Backend b = g_backend.load(std::memory_order_relaxed);
-  if (b == Backend::kScalar || b == Backend::kGeneric) return b;
-  return simd_available() ? Backend::kSimd : Backend::kGeneric;
+  if (b == Backend::kScalar || !simd_available()) return Backend::kScalar;
+  return Backend::kSimd;
 }
 
 void set_backend(Backend b) { g_backend.store(b, std::memory_order_relaxed); }
@@ -43,7 +41,6 @@ const char* backend_name(Backend b) {
   switch (b) {
     case Backend::kAuto: return "auto";
     case Backend::kScalar: return "scalar";
-    case Backend::kGeneric: return "generic";
     case Backend::kSimd:
 #if defined(SENECA_KERNELS_AVX2)
       return "avx2";
@@ -92,100 +89,6 @@ bool acc32_safe(const QOp& op, std::int64_t ci) {
   return acc_bound(op, ci) <= std::numeric_limits<std::int32_t>::max();
 }
 
-using detail::rshift_round32;
-
-// ---------------------------------------------------------------- generic
-
-void conv2d_generic(const TensorI8& x, const QOp& op, TensorI8& out,
-                    int fix_pos_in) {
-  const std::int64_t h = x.shape()[0];
-  const std::int64_t w = x.shape()[1];
-  const std::int64_t ci = x.shape()[2];
-  const std::int64_t k = op.kernel;
-  const std::int64_t co = op.out_shape[2];
-  const std::int64_t pad = k / 2;
-  const int shift = fix_pos_in + op.fix_pos_w - op.fix_pos_out;
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(co));
-
-  for (std::int64_t oy = 0; oy < h; ++oy) {
-    for (std::int64_t ox = 0; ox < w; ++ox) {
-      std::memcpy(acc.data(), op.bias.data(),
-                  static_cast<std::size_t>(co) * sizeof(std::int32_t));
-      for (std::int64_t ky = 0; ky < k; ++ky) {
-        const std::int64_t iy = oy + ky - pad;
-        if (iy < 0 || iy >= h) continue;
-        for (std::int64_t kx = 0; kx < k; ++kx) {
-          const std::int64_t ix = ox + kx - pad;
-          if (ix < 0 || ix >= w) continue;
-          const std::int8_t* px = x.data() + (iy * w + ix) * ci;
-          const std::int8_t* pw = op.weights.data() + ((ky * k + kx) * ci) * co;
-          for (std::int64_t c = 0; c < ci; ++c) {
-            const std::int32_t xv = px[c];
-            if (xv == 0) continue;
-            const std::int8_t* pwc = pw + c * co;
-            std::int32_t* pa = acc.data();
-            for (std::int64_t o = 0; o < co; ++o) {
-              pa[o] += xv * static_cast<std::int32_t>(pwc[o]);
-            }
-          }
-        }
-      }
-      std::int8_t* po = out.data() + (oy * w + ox) * co;
-      for (std::int64_t o = 0; o < co; ++o) {
-        std::int32_t v = rshift_round32(acc[static_cast<std::size_t>(o)], shift);
-        if (op.relu && v < 0) v = 0;
-        po[o] = saturate_i8(v);
-      }
-    }
-  }
-}
-
-void tconv2d_generic(const TensorI8& x, const QOp& op, TensorI8& out,
-                     int fix_pos_in, tensor::TensorArena* arena) {
-  const int shift = fix_pos_in + op.fix_pos_w - op.fix_pos_out;
-
-  std::vector<std::int32_t> local;
-  std::int32_t* acc = detail::tconv_scratch(op, arena, local);
-  detail::tconv_acc_init(op, acc);
-  detail::tconv_scatter(
-      x, op, acc,
-      [](std::int32_t* pa, const std::int8_t* px, const std::int8_t* pw,
-         std::int64_t nci, std::int64_t nco) {
-        for (std::int64_t c = 0; c < nci; ++c) {
-          const std::int32_t xv = px[c];
-          if (xv == 0) continue;
-          const std::int8_t* pwc = pw + c * nco;
-          for (std::int64_t o = 0; o < nco; ++o) {
-            pa[o] += xv * static_cast<std::int32_t>(pwc[o]);
-          }
-        }
-      });
-  const std::int64_t n = op.out_shape.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    std::int32_t v = rshift_round32(acc[i], shift);
-    if (op.relu && v < 0) v = 0;
-    out[i] = saturate_i8(v);
-  }
-}
-
-void maxpool2d_generic(const TensorI8& x, TensorI8& out) {
-  // Identical structure to the scalar reference; int8 max needs no widening.
-  qmaxpool2d_forward(x, out);
-}
-
-void requant_row_generic(const std::int8_t* src, std::int8_t* dst,
-                         std::int64_t n, int shift) {
-  if (shift == 0) {
-    std::memcpy(dst, src, static_cast<std::size_t>(n));
-    return;
-  }
-  for (std::int64_t i = 0; i < n; ++i) {
-    dst[i] = saturate_i8(rshift_round(src[i], shift));
-  }
-}
-
-// --------------------------------------------------------------- dispatch
-
 void conv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in) {
   const std::int64_t ci = x.shape()[2];
   const int shift = fix_pos_in + op.fix_pos_w - op.fix_pos_out;
@@ -194,64 +97,61 @@ void conv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in) {
   // than acc_bound by construction, so disagreement means a broken proof.
   assert(!shift32_safe(op, ci, shift) ||
          interval_shift32_safe(conv_acc_interval(op, ci, {-128, 127}), shift));
-  const Backend b = active_backend();
-  if (b == Backend::kScalar || !shift32_safe(op, ci, shift)) {
-    qconv2d_forward(x, op, out, fix_pos_in);
-    return;
-  }
+  if (active_backend() == Backend::kSimd && shift32_safe(op, ci, shift)) {
 #if defined(SENECA_KERNELS_AVX2)
-  if (b == Backend::kSimd) return conv2d_avx2(x, op, out, fix_pos_in);
+    return conv2d_avx2(x, op, out, fix_pos_in);
 #elif defined(SENECA_KERNELS_NEON)
-  if (b == Backend::kSimd) return conv2d_neon(x, op, out, fix_pos_in);
+    return conv2d_neon(x, op, out, fix_pos_in);
 #endif
-  conv2d_generic(x, op, out, fix_pos_in);
+  }
+  qconv2d_forward(x, op, out, fix_pos_in);
 }
 
 void tconv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in,
-             tensor::TensorArena* arena) {
+             [[maybe_unused]] tensor::TensorArena* arena) {
   const std::int64_t ci = x.shape()[2];
   const int shift = fix_pos_in + op.fix_pos_w - op.fix_pos_out;
   assert(!shift32_safe(op, ci, shift) ||
          interval_shift32_safe(conv_acc_interval(op, ci, {-128, 127}), shift));
-  const Backend b = active_backend();
-  if (b == Backend::kScalar || !shift32_safe(op, ci, shift)) {
-    qtconv2d_forward(x, op, out, fix_pos_in);
-    return;
-  }
+  if (active_backend() == Backend::kSimd && shift32_safe(op, ci, shift)) {
 #if defined(SENECA_KERNELS_AVX2)
-  if (b == Backend::kSimd) return tconv2d_avx2(x, op, out, fix_pos_in, arena);
+    return tconv2d_avx2(x, op, out, fix_pos_in, arena);
 #elif defined(SENECA_KERNELS_NEON)
-  if (b == Backend::kSimd) return tconv2d_neon(x, op, out, fix_pos_in, arena);
+    return tconv2d_neon(x, op, out, fix_pos_in, arena);
 #endif
-  tconv2d_generic(x, op, out, fix_pos_in, arena);
+  }
+  qtconv2d_forward(x, op, out, fix_pos_in);
 }
 
 void maxpool2d(const TensorI8& x, TensorI8& out) {
-  const Backend b = active_backend();
-  if (b == Backend::kScalar) return qmaxpool2d_forward(x, out);
+  if (active_backend() == Backend::kSimd) {
 #if defined(SENECA_KERNELS_AVX2)
-  if (b == Backend::kSimd) return maxpool2d_avx2(x, out);
+    return maxpool2d_avx2(x, out);
 #elif defined(SENECA_KERNELS_NEON)
-  if (b == Backend::kSimd) return maxpool2d_neon(x, out);
+    return maxpool2d_neon(x, out);
 #endif
-  maxpool2d_generic(x, out);
+  }
+  qmaxpool2d_forward(x, out);
 }
 
 void requant_row(const std::int8_t* src, std::int8_t* dst, std::int64_t n,
                  int shift) {
-  const Backend b = active_backend();
 #if defined(SENECA_KERNELS_AVX2)
   // The AVX2 row requant covers |shift| <= 7 plus the shift-8 left edge of
   // its int16 arithmetic; everything else is reference-scalar inside.
-  if (b == Backend::kSimd) return requant_row_avx2(src, dst, n, shift);
+  if (active_backend() == Backend::kSimd) {
+    return requant_row_avx2(src, dst, n, shift);
+  }
 #endif
-  if (b == Backend::kScalar) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      dst[i] = saturate_i8(rshift_round(src[i], shift));
-    }
+  // The one portable loop, for kScalar and for NEON, which has no row
+  // requant of its own.
+  if (shift == 0) {
+    std::memcpy(dst, src, static_cast<std::size_t>(n));
     return;
   }
-  requant_row_generic(src, dst, n, shift);
+  for (std::int64_t i = 0; i < n; ++i) {
+    dst[i] = saturate_i8(rshift_round(src[i], shift));
+  }
 }
 
 void concat(const TensorI8& a, int fp_a, const TensorI8& b, int fp_b,

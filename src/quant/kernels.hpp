@@ -6,14 +6,14 @@
 // that must stay bit-exact against them (tests/quant_kernels_test.cpp
 // sweeps this property, bench/int8_kernels --strict gates it in CI).
 //
-// Three backends, selected once at build time and dispatched per call:
+// Two backends, selected once at build time and dispatched per call:
 //  - kScalar:  the int64-accumulator reference in qgraph.cpp.
-//  - kGeneric: portable int32-accumulator restructuring of the same loops
-//              (always compiled; the SENECA_SIMD=OFF build runs on it).
 //  - kSimd:    AVX2 (x86-64, -mavx2, cpuid-checked at runtime) or NEON
 //              (aarch64) intrinsics. The innermost loop is a widening
 //              int8 x int8 -> int32 multiply-accumulate over contiguous
 //              output channels ([K][K][Cin][Cout] weight layout).
+// A call that does not run SIMD runs the reference; where no SIMD backend
+// is built, that is every call.
 //
 // int32 accumulation is only used when it provably cannot overflow
 // (|bias| + k*k*ci*128*128 within int32, scaled through a negative requant
@@ -28,10 +28,9 @@
 namespace seneca::quant::kernels {
 
 enum class Backend {
-  kAuto,     // best available: SIMD if compiled in and CPU-supported
-  kScalar,   // int64 reference kernels in qgraph.cpp
-  kGeneric,  // portable int32 kernels
-  kSimd,     // AVX2 / NEON (resolves to kGeneric when unavailable)
+  kAuto,    // best available: SIMD if compiled in and CPU-supported
+  kScalar,  // int64 reference kernels in qgraph.cpp
+  kSimd,    // AVX2 / NEON (resolves to kScalar when unavailable)
 };
 
 /// True when a SIMD backend was compiled in AND the CPU supports it.
@@ -63,35 +62,8 @@ void concat(const TensorI8& a, int fp_a, const TensorI8& b, int fp_b,
 void requant_row(const std::int8_t* src, std::int8_t* dst, std::int64_t n,
                  int shift);
 
-// --- Backend internals (exposed for the per-kernel micro-bench). ---------
-
 /// True when `op` (with `ci` input channels) can use int32 accumulators
 /// without overflow through requant; false forces the scalar reference.
 bool acc32_safe(const QOp& op, std::int64_t ci);
-
-void conv2d_generic(const TensorI8& x, const QOp& op, TensorI8& out,
-                    int fix_pos_in);
-void tconv2d_generic(const TensorI8& x, const QOp& op, TensorI8& out,
-                     int fix_pos_in, tensor::TensorArena* arena);
-void maxpool2d_generic(const TensorI8& x, TensorI8& out);
-void requant_row_generic(const std::int8_t* src, std::int8_t* dst,
-                         std::int64_t n, int shift);
-
-#if defined(SENECA_KERNELS_AVX2)
-void conv2d_avx2(const TensorI8& x, const QOp& op, TensorI8& out,
-                 int fix_pos_in);
-void tconv2d_avx2(const TensorI8& x, const QOp& op, TensorI8& out,
-                  int fix_pos_in, tensor::TensorArena* arena);
-void maxpool2d_avx2(const TensorI8& x, TensorI8& out);
-void requant_row_avx2(const std::int8_t* src, std::int8_t* dst,
-                      std::int64_t n, int shift);
-#endif
-#if defined(SENECA_KERNELS_NEON)
-void conv2d_neon(const TensorI8& x, const QOp& op, TensorI8& out,
-                 int fix_pos_in);
-void tconv2d_neon(const TensorI8& x, const QOp& op, TensorI8& out,
-                  int fix_pos_in, tensor::TensorArena* arena);
-void maxpool2d_neon(const TensorI8& x, TensorI8& out);
-#endif
 
 }  // namespace seneca::quant::kernels

@@ -1,7 +1,8 @@
 #pragma once
-// Shared pieces of the INT8 kernel backends (generic / AVX2 / NEON).
-// Everything here assumes the dispatcher already proved int32 accumulation
-// safe (kernels::acc32_safe + the shift headroom check in kernels.cpp).
+// Shared pieces of the SIMD INT8 kernel backends (AVX2 / NEON) and their
+// entry points, which only the dispatcher in kernels.cpp calls. Everything
+// here assumes the dispatcher already proved int32 accumulation safe
+// (kernels::acc32_safe + the shift headroom check in kernels.cpp).
 
 #include <cstring>
 #include <vector>
@@ -77,3 +78,24 @@ inline std::int32_t* tconv_scratch(const QOp& op, tensor::TensorArena* arena,
 }
 
 }  // namespace seneca::quant::kernels::detail
+
+namespace seneca::quant::kernels {
+
+#if defined(SENECA_KERNELS_AVX2)
+void conv2d_avx2(const TensorI8& x, const QOp& op, TensorI8& out,
+                 int fix_pos_in);
+void tconv2d_avx2(const TensorI8& x, const QOp& op, TensorI8& out,
+                  int fix_pos_in, tensor::TensorArena* arena);
+void maxpool2d_avx2(const TensorI8& x, TensorI8& out);
+void requant_row_avx2(const std::int8_t* src, std::int8_t* dst,
+                      std::int64_t n, int shift);
+#endif
+#if defined(SENECA_KERNELS_NEON)
+void conv2d_neon(const TensorI8& x, const QOp& op, TensorI8& out,
+                 int fix_pos_in);
+void tconv2d_neon(const TensorI8& x, const QOp& op, TensorI8& out,
+                  int fix_pos_in, tensor::TensorArena* arena);
+void maxpool2d_neon(const TensorI8& x, TensorI8& out);
+#endif
+
+}  // namespace seneca::quant::kernels

@@ -1,6 +1,6 @@
-// SENECA-Kernels property tests. The central invariant: every backend of
-// the vectorized INT8 layer (generic int32, AVX2/NEON) is BIT-EXACT against
-// the scalar int64 reference kernels in qgraph.cpp — across shapes, channel
+// SENECA-Kernels property tests. The central invariant: the SIMD backend of
+// the vectorized INT8 layer (AVX2/NEON) is BIT-EXACT against the scalar
+// int64 reference kernels in qgraph.cpp — across shapes, channel
 // counts not divisible by the vector width, negative requant shifts (the
 // left-shift path), ReLU on/off, and the int32-overflow fallback. Plus the
 // reference-semantics bugfix pins: rounding-mode independence of
@@ -82,21 +82,24 @@ QOp make_op(QOpKind kind, std::int64_t k, std::int64_t ci, std::int64_t co,
   return ::testing::AssertionFailure() << "unreachable";
 }
 
-/// Backends to check against the scalar reference.
-std::vector<kernels::Backend> backends_under_test() {
-  std::vector<kernels::Backend> v{kernels::Backend::kGeneric};
-  if (kernels::simd_available()) v.push_back(kernels::Backend::kSimd);
-  return v;
-}
-
 class KernelsTest : public ::testing::Test {
  protected:
   void TearDown() override { kernels::set_backend(kernels::Backend::kAuto); }
 };
 
+/// Pins the SIMD backend, the one checked against the scalar reference;
+/// skips where no SIMD backend is built.
+class SimdKernelsTest : public KernelsTest {
+ protected:
+  void SetUp() override {
+    if (!kernels::simd_available()) GTEST_SKIP() << "no SIMD backend built";
+    kernels::set_backend(kernels::Backend::kSimd);
+  }
+};
+
 // ------------------------------------------------ conv bit-exactness -----
 
-TEST_F(KernelsTest, Conv2DBitExactAcrossBackends) {
+TEST_F(SimdKernelsTest, Conv2DBitExactAcrossBackends) {
   // Channel counts straddle the AVX2 (16-wide, 2-channel-paired) and NEON
   // (8-wide) vector widths: odd, prime, exact multiples, and multiples+1.
   const std::int64_t cis[] = {1, 2, 3, 5, 16, 17};
@@ -118,22 +121,18 @@ TEST_F(KernelsTest, Conv2DBitExactAcrossBackends) {
           const TensorI8 x = random_i8(Shape{h, w, ci}, seed);
           TensorI8 ref(op.out_shape);
           qconv2d_forward(x, op, ref, fp_in);
-          for (kernels::Backend b : backends_under_test()) {
-            kernels::set_backend(b);
-            TensorI8 got(op.out_shape);
-            kernels::conv2d(x, op, got, fp_in);
-            EXPECT_TRUE(same_tensor(got, ref))
-                << "backend=" << kernels::backend_name(b) << " ci=" << ci
-                << " co=" << co << " k=" << k << " shift=" << shift
-                << " relu=" << relu;
-          }
+          TensorI8 got(op.out_shape);
+          kernels::conv2d(x, op, got, fp_in);
+          EXPECT_TRUE(same_tensor(got, ref))
+              << "ci=" << ci << " co=" << co << " k=" << k
+              << " shift=" << shift << " relu=" << relu;
         }
       }
     }
   }
 }
 
-TEST_F(KernelsTest, TConv2DBitExactAcrossBackends) {
+TEST_F(SimdKernelsTest, TConv2DBitExactAcrossBackends) {
   const std::int64_t cis[] = {1, 3, 8, 17};
   const std::int64_t cos[] = {1, 5, 16, 33};
   const int shifts[] = {4, 0, -2};
@@ -149,27 +148,23 @@ TEST_F(KernelsTest, TConv2DBitExactAcrossBackends) {
         const TensorI8 x = random_i8(Shape{h, w, ci}, seed);
         TensorI8 ref(op.out_shape);
         qtconv2d_forward(x, op, ref, fp_in);
-        for (kernels::Backend b : backends_under_test()) {
-          kernels::set_backend(b);
-          // Both with and without an arena-provided accumulator plane.
-          TensorI8 got(op.out_shape);
-          kernels::tconv2d(x, op, got, fp_in, nullptr);
-          EXPECT_TRUE(same_tensor(got, ref))
-              << "backend=" << kernels::backend_name(b) << " ci=" << ci
-              << " co=" << co << " shift=" << shift << " (no arena)";
-          TensorArena arena;
-          TensorI8 got2(op.out_shape);
-          kernels::tconv2d(x, op, got2, fp_in, &arena);
-          EXPECT_TRUE(same_tensor(got2, ref))
-              << "backend=" << kernels::backend_name(b) << " ci=" << ci
-              << " co=" << co << " shift=" << shift << " (arena)";
-        }
+        // Both with and without an arena-provided accumulator plane.
+        TensorI8 got(op.out_shape);
+        kernels::tconv2d(x, op, got, fp_in, nullptr);
+        EXPECT_TRUE(same_tensor(got, ref))
+            << "ci=" << ci << " co=" << co << " shift=" << shift
+            << " (no arena)";
+        TensorArena arena;
+        TensorI8 got2(op.out_shape);
+        kernels::tconv2d(x, op, got2, fp_in, &arena);
+        EXPECT_TRUE(same_tensor(got2, ref))
+            << "ci=" << ci << " co=" << co << " shift=" << shift << " (arena)";
       }
     }
   }
 }
 
-TEST_F(KernelsTest, MaxPoolBitExactAcrossBackends) {
+TEST_F(SimdKernelsTest, MaxPoolBitExactAcrossBackends) {
   const std::int64_t cs[] = {1, 3, 15, 16, 33, 48};
   std::uint64_t seed = 2000;
   for (std::int64_t c : cs) {
@@ -178,17 +173,13 @@ TEST_F(KernelsTest, MaxPoolBitExactAcrossBackends) {
     const TensorI8 x = random_i8(Shape{h, w, c}, seed);
     TensorI8 ref(Shape{h / 2, w / 2, c});
     qmaxpool2d_forward(x, ref);
-    for (kernels::Backend b : backends_under_test()) {
-      kernels::set_backend(b);
-      TensorI8 got(Shape{h / 2, w / 2, c});
-      kernels::maxpool2d(x, got);
-      EXPECT_TRUE(same_tensor(got, ref))
-          << "backend=" << kernels::backend_name(b) << " c=" << c;
-    }
+    TensorI8 got(Shape{h / 2, w / 2, c});
+    kernels::maxpool2d(x, got);
+    EXPECT_TRUE(same_tensor(got, ref)) << "c=" << c;
   }
 }
 
-TEST_F(KernelsTest, ConcatBitExactAcrossBackends) {
+TEST_F(SimdKernelsTest, ConcatBitExactAcrossBackends) {
   const std::int64_t cas[] = {1, 3, 16, 17};
   const int shifts[] = {-2, 0, 3};
   std::uint64_t seed = 3000;
@@ -202,20 +193,17 @@ TEST_F(KernelsTest, ConcatBitExactAcrossBackends) {
         const TensorI8 b = random_i8(Shape{h, w, cb}, seed + 1);
         TensorI8 ref(Shape{h, w, ca + cb});
         qconcat_forward(a, fp_out + sa, b, fp_out + sb, ref, fp_out);
-        for (kernels::Backend bk : backends_under_test()) {
-          kernels::set_backend(bk);
-          TensorI8 got(Shape{h, w, ca + cb});
-          kernels::concat(a, fp_out + sa, b, fp_out + sb, got, fp_out);
-          EXPECT_TRUE(same_tensor(got, ref))
-              << "backend=" << kernels::backend_name(bk) << " ca=" << ca
-              << " sa=" << sa << " sb=" << sb;
-        }
+        TensorI8 got(Shape{h, w, ca + cb});
+        kernels::concat(a, fp_out + sa, b, fp_out + sb, got, fp_out);
+        EXPECT_TRUE(same_tensor(got, ref))
+            << "ca=" << ca << " sa=" << sa << " sb=" << sb;
       }
     }
   }
 }
 
 TEST_F(KernelsTest, RequantRowMatchesReferenceForAllShifts) {
+  // kScalar runs the portable row loop (NEON's too), kSimd AVX2's where built.
   const std::int64_t n = 129;  // odd: exercises every vector tail
   const TensorI8 src = random_i8(Shape{n}, 99);
   for (int shift = -12; shift <= 12; ++shift) {
@@ -224,7 +212,8 @@ TEST_F(KernelsTest, RequantRowMatchesReferenceForAllShifts) {
       ref[static_cast<std::size_t>(i)] =
           saturate_i8(rshift_round(src[i], shift));
     }
-    for (kernels::Backend b : backends_under_test()) {
+    for (kernels::Backend b : {kernels::Backend::kScalar,
+                               kernels::Backend::kSimd}) {
       kernels::set_backend(b);
       std::vector<std::int8_t> got(static_cast<std::size_t>(n));
       kernels::requant_row(src.data(), got.data(), n, shift);
@@ -236,7 +225,7 @@ TEST_F(KernelsTest, RequantRowMatchesReferenceForAllShifts) {
 
 // ------------------------------------------- int32-overflow fallback -----
 
-TEST_F(KernelsTest, HugeBiasForcesExactScalarFallback) {
+TEST_F(SimdKernelsTest, HugeBiasForcesExactScalarFallback) {
   const std::int64_t h = 4, w = 4, ci = 8, co = 16, k = 3;
   QOp op = make_op(QOpKind::kConv2D, k, ci, co, Shape{h, w, co}, 3, 5, false,
                    7);
@@ -245,18 +234,14 @@ TEST_F(KernelsTest, HugeBiasForcesExactScalarFallback) {
   const TensorI8 x = random_i8(Shape{h, w, ci}, 7);
   TensorI8 ref(op.out_shape);
   qconv2d_forward(x, op, ref, 4);
-  for (kernels::Backend b : backends_under_test()) {
-    kernels::set_backend(b);
-    TensorI8 got(op.out_shape);
-    kernels::conv2d(x, op, got, 4);
-    EXPECT_TRUE(same_tensor(got, ref))
-        << "backend=" << kernels::backend_name(b);
-  }
+  TensorI8 got(op.out_shape);
+  kernels::conv2d(x, op, got, 4);
+  EXPECT_TRUE(same_tensor(got, ref));
 }
 
-TEST_F(KernelsTest, ExtremeRequantShiftsStayExact) {
+TEST_F(SimdKernelsTest, ExtremeRequantShiftsStayExact) {
   // shift = fp_in + fp_w - fp_out: +40 and -25 are far outside the int32
-  // requant envelope, so every backend must route to the int64 reference.
+  // requant envelope, so the dispatcher must route to the int64 reference.
   const std::int64_t h = 3, w = 3, ci = 4, co = 16, k = 3;
   const TensorI8 x = random_i8(Shape{h, w, ci}, 11);
   for (int shift : {40, -25}) {
@@ -264,13 +249,9 @@ TEST_F(KernelsTest, ExtremeRequantShiftsStayExact) {
                      20 + 20 - shift, false, 11);
     TensorI8 ref(op.out_shape);
     qconv2d_forward(x, op, ref, 20);
-    for (kernels::Backend b : backends_under_test()) {
-      kernels::set_backend(b);
-      TensorI8 got(op.out_shape);
-      kernels::conv2d(x, op, got, 20);
-      EXPECT_TRUE(same_tensor(got, ref))
-          << "backend=" << kernels::backend_name(b) << " shift=" << shift;
-    }
+    TensorI8 got(op.out_shape);
+    kernels::conv2d(x, op, got, 20);
+    EXPECT_TRUE(same_tensor(got, ref)) << "shift=" << shift;
   }
 }
 
@@ -406,17 +387,13 @@ TensorI8 random_input(std::int64_t size, std::uint64_t seed) {
   return x;
 }
 
-TEST_F(KernelsTest, QGraphForwardBitExactAcrossBackendsEndToEnd) {
+TEST_F(SimdKernelsTest, QGraphForwardBitExactAcrossBackendsEndToEnd) {
   const Built b = build_model(5, 16);
   const TensorI8 x = random_input(b.size, 9);
   kernels::set_backend(kernels::Backend::kScalar);
   const TensorI8 ref = b.qgraph.forward(x);
-  for (kernels::Backend bk : backends_under_test()) {
-    kernels::set_backend(bk);
-    const TensorI8 got = b.qgraph.forward(x);
-    EXPECT_TRUE(same_tensor(got, ref))
-        << "backend=" << kernels::backend_name(bk);
-  }
+  kernels::set_backend(kernels::Backend::kSimd);
+  EXPECT_TRUE(same_tensor(b.qgraph.forward(x), ref));
 }
 
 TEST_F(KernelsTest, ActivationCaptureStaysCompleteAndAliasesNothing) {
