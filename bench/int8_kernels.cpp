@@ -1,8 +1,11 @@
 // INT8 kernel bench: the SIMD/arena hot path vs the scalar reference.
 //
 // Two sections. The micro section times each kernel (conv / tconv / pool /
-// concat) on a representative mid-network shape per backend and reports the
-// per-kernel speedup. The end-to-end section runs the functional DPU core
+// concat) on a representative mid-network shape per backend, plus the conv
+// of 16M's widest layer (bott_b, 2x2x512->512), and reports the per-kernel
+// speedup. Conv and tconv are timed as served: their weights are packed
+// once outside the timed loop, as DpuCoreSim packs them at load. The
+// end-to-end section runs the functional DPU core
 // simulator over every model-zoo ladder rung and reports frames/second per
 // backend — scalar (the int64 reference, no arena: the pre-kernel-layer
 // executor) and SIMD (AVX2/NEON) with a TensorArena, which is what
@@ -105,37 +108,59 @@ std::vector<MicroResult> run_micro(double min_seconds) {
   tconv.weights = seeded_input(Shape{3, 3, co, ci}, 13);
   tconv.bias.assign(static_cast<std::size_t>(ci), -123);
 
+  QOp bott = conv;  // 16M's bott_b at 64x64 input: a 2x2 map, 512 wide
+  bott.out_shape = Shape{2, 2, 512};
+  bott.weights = seeded_input(Shape{3, 3, 512, 512}, 23);
+  bott.bias.assign(512, 321);
+
+  const quant::kernels::PackedWeights conv_pack =
+      quant::kernels::pack_weights(conv);
+  const quant::kernels::PackedWeights tconv_pack =
+      quant::kernels::pack_weights(tconv);
+  const quant::kernels::PackedWeights bott_pack =
+      quant::kernels::pack_weights(bott);
+
   const TensorI8 x = seeded_input(Shape{hw, hw, ci}, 17);
   const TensorI8 xt = seeded_input(Shape{hw / 2, hw / 2, co}, 19);
+  const TensorI8 xb = seeded_input(Shape{2, 2, 512}, 29);
   const int fp_in = 4;
   tensor::TensorArena arena;
   TensorI8 out_conv(conv.out_shape);
   TensorI8 out_tconv(tconv.out_shape);
   TensorI8 out_pool(Shape{hw / 2, hw / 2, ci});
   TensorI8 out_cat(Shape{hw, hw, 2 * ci});
+  TensorI8 out_bott(bott.out_shape);
 
-  std::vector<MicroResult> results(4);
+  std::vector<MicroResult> results(5);
   results[0].kernel = "conv2d 56x56x32->64 k3";
   results[1].kernel = "tconv2d 28x28x64->56x56x32";
   results[2].kernel = "maxpool 56x56x32";
   results[3].kernel = "concat 2x 56x56x32";
+  results[4].kernel = "conv2d 2x2x512->512 k3 (16M bott_b)";
   for (Backend b : bench_backends()) {
     quant::kernels::set_backend(b);
     const Timing tc = time_loop(
-        [&] { quant::kernels::conv2d(x, conv, out_conv, fp_in); },
+        [&] { quant::kernels::conv2d(x, conv, out_conv, fp_in, &conv_pack); },
         min_seconds, 1 << 20);
     const Timing tt = time_loop(
-        [&] { quant::kernels::tconv2d(xt, tconv, out_tconv, fp_in, &arena); },
+        [&] {
+          quant::kernels::tconv2d(xt, tconv, out_tconv, fp_in, &arena,
+                                  &tconv_pack);
+        },
         min_seconds, 1 << 20);
     const Timing tp = time_loop(
         [&] { quant::kernels::maxpool2d(x, out_pool); }, min_seconds, 1 << 20);
     const Timing tk = time_loop(
         [&] { quant::kernels::concat(x, 5, x, 3, out_cat, 4); }, min_seconds,
         1 << 20);
+    const Timing tb = time_loop(
+        [&] { quant::kernels::conv2d(xb, bott, out_bott, fp_in, &bott_pack); },
+        min_seconds, 1 << 20);
     results[0].us.push_back(1e6 / tc.fps);
     results[1].us.push_back(1e6 / tt.fps);
     results[2].us.push_back(1e6 / tp.fps);
     results[3].us.push_back(1e6 / tk.fps);
+    results[4].us.push_back(1e6 / tb.fps);
   }
   quant::kernels::set_backend(Backend::kAuto);
   return results;

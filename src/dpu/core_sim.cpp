@@ -8,6 +8,7 @@ namespace seneca::dpu {
 
 DpuCoreSim::DpuCoreSim(const XModel* model) : model_(model) {
   payloads_.resize(model_->layers.size());
+  packs_.resize(model_->layers.size());
   consts_.resize(model_->layers.size());
   for (std::size_t i = 0; i < model_->layers.size(); ++i) {
     const XLayer& layer = model_->layers[i];
@@ -45,6 +46,7 @@ DpuCoreSim::DpuCoreSim(const XModel* model) : model_(model) {
                 op.weights.data());
       op.bias.assign(model_->biases.begin() + layer.bias_offset,
                      model_->biases.begin() + layer.bias_offset + layer.bias_count);
+      packs_[i] = quant::kernels::pack_weights(op);
     }
   }
 }
@@ -83,11 +85,11 @@ RunResult DpuCoreSim::run(const TensorI8& input, int bw_sharers,
     switch (layer.kind) {
       case XLayer::Kind::kConv:
         quant::kernels::conv2d(input_of(layer.inputs[0]), op, out,
-                               fp_of(layer.inputs[0]));
+                               fp_of(layer.inputs[0]), &packs_[i]);
         break;
       case XLayer::Kind::kTConv:
         quant::kernels::tconv2d(input_of(layer.inputs[0]), op, out,
-                                fp_of(layer.inputs[0]), arena);
+                                fp_of(layer.inputs[0]), arena, &packs_[i]);
         break;
       case XLayer::Kind::kPool:
         quant::kernels::maxpool2d(input_of(layer.inputs[0]), out);

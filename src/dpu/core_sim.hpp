@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "dpu/xmodel.hpp"
+#include "quant/kernels.hpp"
 #include "quant/qgraph.hpp"
 
 namespace seneca::dpu {
@@ -24,7 +25,9 @@ struct RunResult {
 
 class DpuCoreSim {
  public:
-  /// The xmodel must outlive the simulator.
+  /// The xmodel must outlive the simulator. Construction decodes every
+  /// layer's weights and packs each conv/tconv layer's for the SIMD
+  /// kernels (quant::kernels::pack_weights), once: run packs nothing.
   explicit DpuCoreSim(const XModel* model);
 
   const XModel& model() const { return *model_; }
@@ -41,6 +44,10 @@ class DpuCoreSim {
   const XModel* model_;
   // Per-layer weight/bias views materialized once at construction.
   std::vector<quant::QOp> payloads_;
+  // Per conv/tconv layer, payloads_' weights in the SIMD kernel's operand
+  // layout. The xmodel's weights never change, and the packs are read-only
+  // after construction, so every thread running this simulator shares them.
+  std::vector<quant::kernels::PackedWeights> packs_;
   // Folded feature maps of kConst layers, rebuilt from the weights blob.
   std::vector<TensorI8> consts_;
 };

@@ -89,7 +89,15 @@ bool acc32_safe(const QOp& op, std::int64_t ci) {
   return acc_bound(op, ci) <= std::numeric_limits<std::int32_t>::max();
 }
 
-void conv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in) {
+PackedWeights pack_weights([[maybe_unused]] const QOp& op) {
+#if defined(SENECA_KERNELS_AVX2)
+  if (simd_available()) return pack_weights_avx2(op);
+#endif
+  return {};
+}
+
+void conv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in,
+            [[maybe_unused]] const PackedWeights* packed) {
   const std::int64_t ci = x.shape()[2];
   const int shift = fix_pos_in + op.fix_pos_w - op.fix_pos_out;
   // Wherever the coarse runtime predicate admits the int32 path, the
@@ -99,7 +107,8 @@ void conv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in) {
          interval_shift32_safe(conv_acc_interval(op, ci, {-128, 127}), shift));
   if (active_backend() == Backend::kSimd && shift32_safe(op, ci, shift)) {
 #if defined(SENECA_KERNELS_AVX2)
-    return conv2d_avx2(x, op, out, fix_pos_in);
+    if (packed) return conv2d_avx2(x, op, *packed, out, fix_pos_in);
+    return conv2d_avx2(x, op, pack_weights_avx2(op), out, fix_pos_in);
 #elif defined(SENECA_KERNELS_NEON)
     return conv2d_neon(x, op, out, fix_pos_in);
 #endif
@@ -108,14 +117,16 @@ void conv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in) {
 }
 
 void tconv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in,
-             [[maybe_unused]] tensor::TensorArena* arena) {
+             [[maybe_unused]] tensor::TensorArena* arena,
+             [[maybe_unused]] const PackedWeights* packed) {
   const std::int64_t ci = x.shape()[2];
   const int shift = fix_pos_in + op.fix_pos_w - op.fix_pos_out;
   assert(!shift32_safe(op, ci, shift) ||
          interval_shift32_safe(conv_acc_interval(op, ci, {-128, 127}), shift));
   if (active_backend() == Backend::kSimd && shift32_safe(op, ci, shift)) {
 #if defined(SENECA_KERNELS_AVX2)
-    return tconv2d_avx2(x, op, out, fix_pos_in, arena);
+    if (packed) return tconv2d_avx2(x, op, *packed, out, fix_pos_in, arena);
+    return tconv2d_avx2(x, op, pack_weights_avx2(op), out, fix_pos_in, arena);
 #elif defined(SENECA_KERNELS_NEON)
     return tconv2d_neon(x, op, out, fix_pos_in, arena);
 #endif

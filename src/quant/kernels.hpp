@@ -15,12 +15,18 @@
 // A call that does not run SIMD runs the reference; where no SIMD backend
 // is built, that is every call.
 //
+// The AVX2 conv and tconv read their weights as int16 `madd` operands
+// (PackedWeights). An owner of weights that never change packs them once
+// with pack_weights and passes the pack on every call, as DpuCoreSim does
+// at load; a call without a pack packs for itself.
+//
 // int32 accumulation is only used when it provably cannot overflow
 // (|bias| + k*k*ci*128*128 within int32, scaled through a negative requant
 // shift); otherwise the dispatcher falls back to the int64 scalar
 // reference, so bit-exactness holds unconditionally.
 
 #include <cstdint>
+#include <vector>
 
 #include "quant/qgraph.hpp"
 #include "tensor/arena.hpp"
@@ -46,12 +52,29 @@ void set_backend(Backend b);
 
 const char* backend_name(Backend b);
 
-// --- Dispatch entry points (signatures mirror the scalar reference). -----
+/// A conv/tconv layer's weights as the AVX2 kernel's int16 `madd`
+/// operands: `blocks` for the 16-wide output-channel blocks, `tail` for the
+/// channels past the last block, pair-packed 8 to a vector. Empty on NEON,
+/// whose loop reads the int8 weights, and wherever AVX2 does not run.
+struct PackedWeights {
+  std::vector<std::int16_t> blocks;
+  std::vector<std::int16_t> tail;
+};
 
-void conv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in);
+/// Packs `op`'s [K][K][Cin][Cout] weights wherever the AVX2 loop can run
+/// (built in and CPU-supported), whatever the active backend: set_backend
+/// may change after packing. Elsewhere the pack is empty.
+PackedWeights pack_weights(const QOp& op);
+
+// --- Dispatch entry points (signatures mirror the scalar reference). -----
+// `packed` is pack_weights(op), built by the caller; null packs per call.
+
+void conv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in,
+            const PackedWeights* packed = nullptr);
 /// `arena` (optional) provides the oh*ow*co int32 accumulator plane.
 void tconv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in,
-             tensor::TensorArena* arena = nullptr);
+             tensor::TensorArena* arena = nullptr,
+             const PackedWeights* packed = nullptr);
 void maxpool2d(const TensorI8& x, TensorI8& out);
 void concat(const TensorI8& a, int fp_a, const TensorI8& b, int fp_b,
             TensorI8& out, int fp_out);

@@ -2,16 +2,17 @@
 // -mavx2; the dispatcher in kernels.cpp only routes here after a runtime
 // cpuid check, so the rest of the library stays runnable on any x86-64.
 //
-// Conv inner loop: two input channels per step, 16 output channels per
-// vector. The int8 weights of both channels widen to int16 and interleave
-// (unpacklo/hi), then one _mm256_madd_epi16 against the broadcast
-// (x0, x1) pair yields 8 widened int8*int8 -> int32 dual-MACs. The madd
-// pair-sum keeps accumulators in a fixed lane permutation; two
-// _mm256_permute2x128 restore channel order once per pixel block before
-// the requant epilogue. Bit-exactness vs the scalar reference is
-// guaranteed because every product and the full accumulation are exact in
-// int32 (the dispatcher's headroom proof) and the requant epilogue
-// computes the identical round-half-away-from-zero arithmetic.
+// Conv and tconv share one MAC loop: two input channels per step, 16
+// output channels per vector. pack_weights_avx2 lays the int8 weights out
+// once as int16 madd operands (PackedWeights), so one _mm256_madd_epi16 of
+// a packed operand against the broadcast (x0, x1) input pair yields 8 exact
+// int8*int8 -> int32 dual-MACs. The madd pair-sum keeps accumulators in a
+// fixed lane permutation; two _mm256_permute2x128 restore channel order
+// once per pixel block before the requant epilogue. Bit-exactness vs the
+// scalar reference is guaranteed because every product and the full
+// accumulation are exact in int32 (the dispatcher's headroom proof) and the
+// requant epilogue computes the identical round-half-away-from-zero
+// arithmetic.
 
 #include "quant/kernels.hpp"
 #include "quant/kernels_internal.hpp"
@@ -20,6 +21,7 @@
 
 #include <immintrin.h>
 
+#include <cassert>
 #include <cstring>
 #include <vector>
 
@@ -85,71 +87,6 @@ inline void requant_store_n(__m256i v, int shift, bool relu, std::int8_t* dst,
   std::memcpy(dst, tmp, static_cast<std::size_t>(nvalid));
 }
 
-/// Interleaved-pair int16 repack of output channels [co_from, co_from +
-/// count) — the madd operand for channels the 16-wide main loop cannot
-/// reach. Element ((t*cpairs + cp)*nb8 + b)*16 + 2*j + m holds
-/// W[t][2*cp+m][co_from + 8*b + j], zero-padded out of range, so one
-/// _mm256_madd_epi16 against the broadcast (x0, x1) pair yields 8 in-order
-/// int32 dual-MACs with no out-of-bounds weight reads.
-std::vector<short> pack_pair_weights(const QOp& op, std::int64_t ci,
-                                     std::int64_t co, std::int64_t co_from,
-                                     std::int64_t count) {
-  const std::int64_t k2 = op.kernel * op.kernel;
-  const std::int64_t cpairs = (ci + 1) / 2;
-  const std::int64_t nb8 = (count + 7) / 8;
-  std::vector<short> packed(static_cast<std::size_t>(k2 * cpairs * nb8 * 16),
-                            0);
-  const std::int8_t* W = op.weights.data();
-  for (std::int64_t t = 0; t < k2; ++t) {
-    for (std::int64_t cp = 0; cp < cpairs; ++cp) {
-      for (std::int64_t b = 0; b < nb8; ++b) {
-        short* dst = packed.data() + ((t * cpairs + cp) * nb8 + b) * 16;
-        for (std::int64_t j = 0; j < 8 && b * 8 + j < count; ++j) {
-          const std::int64_t o = co_from + b * 8 + j;
-          for (int m = 0; m < 2; ++m) {
-            const std::int64_t c = 2 * cp + m;
-            if (c < ci) dst[2 * j + m] = W[(t * ci + c) * co + o];
-          }
-        }
-      }
-    }
-  }
-  return packed;
-}
-
-/// int16 repack of the 16-wide output-channel blocks into ready-made madd
-/// operands: for tap t, block bi (channels 16*bi..16*bi+15), and input
-/// pair cp, 32 shorts — first the unpacklo_epi16 operand (channels
-/// {0..3, 8..11} of the block interleaved (wa, wb)), then the unpackhi
-/// operand ({4..7, 12..15}). Packing once per call replaces the per-pixel
-/// widen+interleave of the straight int8 layout; zero-padding covers odd
-/// ci.
-std::vector<short> pack_block_weights(const QOp& op, std::int64_t ci,
-                                      std::int64_t co, std::int64_t nblk) {
-  const std::int64_t k2 = op.kernel * op.kernel;
-  const std::int64_t cpairs = (ci + 1) / 2;
-  std::vector<short> packed(
-      static_cast<std::size_t>(k2 * nblk * cpairs * 32), 0);
-  const std::int8_t* W = op.weights.data();
-  for (std::int64_t t = 0; t < k2; ++t) {
-    for (std::int64_t bi = 0; bi < nblk; ++bi) {
-      for (std::int64_t cp = 0; cp < cpairs; ++cp) {
-        short* dst = packed.data() + ((t * nblk + bi) * cpairs + cp) * 32;
-        for (int i = 0; i < 16; ++i) {
-          const std::int64_t lane = i / 8;
-          const std::int64_t jlo = lane * 8 + (i % 8) / 2;
-          const int m = i % 2;
-          const std::int64_t c = 2 * cp + m;
-          if (c >= ci) continue;
-          dst[i] = W[(t * ci + c) * co + 16 * bi + jlo];
-          dst[16 + i] = W[(t * ci + c) * co + 16 * bi + jlo + 4];
-        }
-      }
-    }
-  }
-  return packed;
-}
-
 /// Sign-extends the input into (x0, x1) int16 pairs packed in int32 — the
 /// broadcast operand of the madd pairing, built once per call instead of
 /// per (pixel, tap) read. Odd ci pads x1 = 0.
@@ -173,45 +110,123 @@ std::vector<std::int32_t> pack_input_pairs(const TensorI8& x) {
   return plane;
 }
 
-}  // namespace
+/// The shape of a layer's packed operands, shared by packing and both MAC
+/// loops so they cannot disagree on an offset.
+struct PackLayout {
+  std::int64_t ci, co, co16, tail, nblk, nb8, cpairs;
+  PackLayout(std::int64_t c_in, std::int64_t c_out)
+      : ci(c_in),
+        co(c_out),
+        co16(c_out & ~std::int64_t{15}),
+        tail(c_out - co16),
+        nblk(co16 / 16),
+        nb8((tail + 7) / 8),  // 0..2
+        cpairs((c_in + 1) / 2) {}
+  /// Block bi's operands at tap t.
+  std::int64_t block_at(std::int64_t t, std::int64_t bi) const {
+    return ((t * nblk + bi) * cpairs) * 32;
+  }
+  /// The tail operands at tap t.
+  std::int64_t tail_at(std::int64_t t) const { return t * cpairs * nb8 * 16; }
+  /// Whether `pw` was packed for this layout over k2 taps.
+  bool fits(const PackedWeights& pw, std::int64_t k2) const {
+    return static_cast<std::int64_t>(pw.blocks.size()) == block_at(k2, 0) &&
+           static_cast<std::int64_t>(pw.tail.size()) == tail_at(k2);
+  }
+};
 
-void conv2d_avx2(const TensorI8& x, const QOp& op, TensorI8& out,
-                 int fix_pos_in) {
-  const std::int64_t h = x.shape()[0];
-  const std::int64_t w = x.shape()[1];
-  const std::int64_t ci = x.shape()[2];
-  const std::int64_t k = op.kernel;
-  const std::int64_t co = op.out_shape[2];
-  const std::int64_t pad = k / 2;
-  const int shift = fix_pos_in + op.fix_pos_w - op.fix_pos_out;
-  const std::int32_t* B = op.bias.data();
-  const std::int64_t co16 = co & ~std::int64_t{15};
+/// One tap of one 16-wide output block: acc_lo/acc_hi (madd lane order,
+/// channels {0..3, 8..11} and {4..7, 12..15}) += every input pair of
+/// `xrow` times its packed operands `wt`. Branchless on purpose:
+/// post-ReLU activations are zero-rich and a data-dependent skip
+/// mispredicts far more than the saved madd costs.
+inline void block_mac(const std::int32_t* xrow, const std::int16_t* wt,
+                      std::int64_t cpairs, __m256i& acc_lo, __m256i& acc_hi) {
+  for (std::int64_t cp = 0; cp < cpairs; ++cp) {
+    const __m256i xv = _mm256_set1_epi32(xrow[cp]);
+    acc_lo = _mm256_add_epi32(
+        acc_lo,
+        _mm256_madd_epi16(_mm256_loadu_si256(
+                              reinterpret_cast<const __m256i*>(wt + cp * 32)),
+                          xv));
+    acc_hi = _mm256_add_epi32(
+        acc_hi, _mm256_madd_epi16(_mm256_loadu_si256(
+                                      reinterpret_cast<const __m256i*>(
+                                          wt + cp * 32 + 16)),
+                                  xv));
+  }
+}
 
-  // Channels past the last 16-wide block (the whole layer when co < 16,
-  // e.g. narrow models and the class-logit head) run on repacked
-  // interleaved int16 weights: same madd pairing, 8 channels per vector,
-  // zero-padded so no load ever leaves the weight tensor.
-  const std::int64_t tail = co - co16;
-  const std::int64_t cpairs = (ci + 1) / 2;
-  const std::int64_t nblk = co16 / 16;
-  const std::int64_t nb8 = (tail + 7) / 8;  // 0..2
-  const std::int8_t* W = op.weights.data();
-  const std::vector<std::int32_t> xplane = pack_input_pairs(x);
-  // The int16 repack doubles the weight working set; past ~L2 capacity the
-  // packed loads turn memory-bound and lose to widening the int8 weights
-  // in-register, so the giant bottleneck-layer weights stay unpacked.
-  const std::int64_t packed_bytes = k * k * nblk * cpairs * 64;
-  const bool use_packed = nblk > 0 && packed_bytes <= (3 << 19);
-  const std::vector<short> blk_packed =
-      use_packed ? pack_block_weights(op, ci, co, nblk) : std::vector<short>{};
-  std::vector<short> tail_packed;
-  std::int32_t tail_bias[16] = {0};
-  if (tail > 0) {
-    tail_packed = pack_pair_weights(op, ci, co, co16, tail);
-    for (std::int64_t o = 0; o < tail; ++o) {
-      tail_bias[o] = B[co16 + o];
+/// One tap of the tail channels: acc[b] (in channel order, 8 per vector)
+/// += every input pair of `xrow` times its pair-packed operands `wt`.
+inline void tail_mac(const std::int32_t* xrow, const std::int16_t* wt,
+                     std::int64_t cpairs, std::int64_t nb8, __m256i* acc) {
+  for (std::int64_t cp = 0; cp < cpairs; ++cp) {
+    const __m256i xv = _mm256_set1_epi32(xrow[cp]);
+    for (std::int64_t b = 0; b < nb8; ++b) {
+      acc[b] = _mm256_add_epi32(
+          acc[b], _mm256_madd_epi16(_mm256_loadu_si256(
+                                        reinterpret_cast<const __m256i*>(
+                                            wt + (cp * nb8 + b) * 16)),
+                                    xv));
     }
   }
+}
+
+}  // namespace
+
+/// Lays W[t][c][o] out as madd operands, zero-padded past ci and co so no
+/// load leaves them. For tap t, input pair cp (channels 2cp, 2cp+1):
+///  - blocks: per 16-wide block bi, 32 values at block_at(t, bi) + 32*cp —
+///    the pairs (W[t][2cp][o], W[t][2cp+1][o]) for o = 16bi + {0..3, 8..11},
+///    then for o = 16bi + {4..7, 12..15}: the lane order madd leaves behind.
+///  - tail: per 8 channels b past co16, 16 values at tail_at(t) +
+///    (cp*nb8 + b)*16 — the pairs for o = co16 + 8b + {0..7}, in order.
+PackedWeights pack_weights_avx2(const QOp& op) {
+  const PackLayout l(op.weights.shape()[2], op.out_shape[2]);
+  const std::int64_t k2 = op.kernel * op.kernel;
+  const auto w = [&](std::int64_t t, std::int64_t c, std::int64_t o) {
+    return static_cast<std::int16_t>(
+        c < l.ci && o < l.co ? op.weights[(t * l.ci + c) * l.co + o] : 0);
+  };
+  PackedWeights pw;
+  pw.blocks.resize(static_cast<std::size_t>(l.block_at(k2, 0)));
+  pw.tail.resize(static_cast<std::size_t>(l.tail_at(k2)));
+  for (std::int64_t t = 0; t < k2; ++t) {
+    for (std::int64_t cp = 0; cp < l.cpairs; ++cp) {
+      for (std::int64_t bi = 0; bi < l.nblk; ++bi) {
+        std::int16_t* dst = pw.blocks.data() + l.block_at(t, bi) + cp * 32;
+        for (int i = 0; i < 16; ++i) {
+          const std::int64_t o = 16 * bi + (i / 8) * 8 + (i % 8) / 2;
+          dst[i] = w(t, 2 * cp + i % 2, o);
+          dst[16 + i] = w(t, 2 * cp + i % 2, o + 4);
+        }
+      }
+      for (std::int64_t b = 0; b < l.nb8; ++b) {
+        std::int16_t* dst =
+            pw.tail.data() + l.tail_at(t) + (cp * l.nb8 + b) * 16;
+        for (int i = 0; i < 16; ++i) {
+          dst[i] = w(t, 2 * cp + i % 2, l.co16 + 8 * b + i / 2);
+        }
+      }
+    }
+  }
+  return pw;
+}
+
+void conv2d_avx2(const TensorI8& x, const QOp& op, const PackedWeights& pw,
+                 TensorI8& out, int fix_pos_in) {
+  const std::int64_t h = x.shape()[0];
+  const std::int64_t w = x.shape()[1];
+  const std::int64_t k = op.kernel;
+  const std::int64_t pad = k / 2;
+  const int shift = fix_pos_in + op.fix_pos_w - op.fix_pos_out;
+  const PackLayout l(x.shape()[2], op.out_shape[2]);
+  assert(l.fits(pw, k * k));
+  const std::int32_t* B = op.bias.data();
+  const std::vector<std::int32_t> xplane = pack_input_pairs(x);
+  std::int32_t tail_bias[16] = {0};
+  for (std::int64_t o = 0; o < l.tail; ++o) tail_bias[o] = B[l.co16 + o];
 
   for (std::int64_t oy = 0; oy < h; ++oy) {
     const std::int64_t ky0 = std::max<std::int64_t>(0, pad - oy);
@@ -219,68 +234,23 @@ void conv2d_avx2(const TensorI8& x, const QOp& op, TensorI8& out,
     for (std::int64_t ox = 0; ox < w; ++ox) {
       const std::int64_t kx0 = std::max<std::int64_t>(0, pad - ox);
       const std::int64_t kx1 = std::min(k, w + pad - ox);
-      std::int8_t* po = out.data() + (oy * w + ox) * co;
+      std::int8_t* po = out.data() + (oy * w + ox) * l.co;
+      const auto xrow = [&](std::int64_t ky, std::int64_t kx) {
+        return xplane.data() + ((oy + ky - pad) * w + ox + kx - pad) * l.cpairs;
+      };
 
-      for (std::int64_t bi = 0; bi < nblk; ++bi) {
-        // Accumulators live in madd's pair-permuted lane order:
-        // acc_lo = channels {0..3, 8..11}, acc_hi = {4..7, 12..15}.
+      for (std::int64_t bi = 0; bi < l.nblk; ++bi) {
         const __m256i b0 = _mm256_loadu_si256(
             reinterpret_cast<const __m256i*>(B + 16 * bi));
         const __m256i b1 = _mm256_loadu_si256(
             reinterpret_cast<const __m256i*>(B + 16 * bi + 8));
         __m256i acc_lo = _mm256_permute2x128_si256(b0, b1, 0x20);
         __m256i acc_hi = _mm256_permute2x128_si256(b0, b1, 0x31);
-
         for (std::int64_t ky = ky0; ky < ky1; ++ky) {
-          const std::int64_t iy = oy + ky - pad;
           for (std::int64_t kx = kx0; kx < kx1; ++kx) {
-            const std::int64_t ix = ox + kx - pad;
-            const std::int32_t* xrow =
-                xplane.data() + (iy * w + ix) * cpairs;
-            if (use_packed) {
-              const short* wt =
-                  blk_packed.data() +
-                  (((ky * k + kx) * nblk + bi) * cpairs) * 32;
-              for (std::int64_t cp = 0; cp < cpairs; ++cp) {
-                // Branchless on purpose: post-ReLU activations are zero-rich
-                // and a data-dependent skip mispredicts far more than the
-                // saved madd costs.
-                const __m256i xv = _mm256_set1_epi32(xrow[cp]);
-                acc_lo = _mm256_add_epi32(
-                    acc_lo,
-                    _mm256_madd_epi16(
-                        _mm256_loadu_si256(
-                            reinterpret_cast<const __m256i*>(wt + cp * 32)),
-                        xv));
-                acc_hi = _mm256_add_epi32(
-                    acc_hi,
-                    _mm256_madd_epi16(
-                        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                            wt + cp * 32 + 16)),
-                        xv));
-              }
-            } else {
-              const std::int8_t* pw =
-                  W + ((ky * k + kx) * ci) * co + 16 * bi;
-              for (std::int64_t cp = 0; cp < cpairs; ++cp) {
-                const __m256i xv = _mm256_set1_epi32(xrow[cp]);
-                const std::int64_t c = 2 * cp;
-                const __m256i wa = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                    reinterpret_cast<const __m128i*>(pw + c * co)));
-                const __m256i wb =
-                    c + 1 < ci
-                        ? _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                              reinterpret_cast<const __m128i*>(
-                                  pw + (c + 1) * co)))
-                        : _mm256_setzero_si256();
-                acc_lo = _mm256_add_epi32(
-                    acc_lo,
-                    _mm256_madd_epi16(_mm256_unpacklo_epi16(wa, wb), xv));
-                acc_hi = _mm256_add_epi32(
-                    acc_hi,
-                    _mm256_madd_epi16(_mm256_unpackhi_epi16(wa, wb), xv));
-              }
-            }
+            block_mac(xrow(ky, kx),
+                      pw.blocks.data() + l.block_at(ky * k + kx, bi),
+                      l.cpairs, acc_lo, acc_hi);
           }
         }
         requant_store16(_mm256_permute2x128_si256(acc_lo, acc_hi, 0x20),
@@ -288,65 +258,44 @@ void conv2d_avx2(const TensorI8& x, const QOp& op, TensorI8& out,
                         shift, op.relu, po + 16 * bi);
       }
 
-      if (tail > 0) {
+      // Channels past the last block: the whole layer when co < 16, as on
+      // the narrow rungs and the class-logit head.
+      if (l.tail > 0) {
         __m256i acc[2];
-        for (std::int64_t b = 0; b < nb8; ++b) {
+        for (std::int64_t b = 0; b < l.nb8; ++b) {
           acc[b] = _mm256_loadu_si256(
               reinterpret_cast<const __m256i*>(tail_bias + 8 * b));
         }
         for (std::int64_t ky = ky0; ky < ky1; ++ky) {
-          const std::int64_t iy = oy + ky - pad;
           for (std::int64_t kx = kx0; kx < kx1; ++kx) {
-            const std::int64_t ix = ox + kx - pad;
-            const std::int32_t* xrow =
-                xplane.data() + (iy * w + ix) * cpairs;
-            const short* wt =
-                tail_packed.data() + (ky * k + kx) * cpairs * nb8 * 16;
-            for (std::int64_t cp = 0; cp < cpairs; ++cp) {
-              const __m256i xv = _mm256_set1_epi32(xrow[cp]);
-              for (std::int64_t b = 0; b < nb8; ++b) {
-                acc[b] = _mm256_add_epi32(
-                    acc[b],
-                    _mm256_madd_epi16(
-                        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                            wt + (cp * nb8 + b) * 16)),
-                        xv));
-              }
-            }
+            tail_mac(xrow(ky, kx), pw.tail.data() + l.tail_at(ky * k + kx),
+                     l.cpairs, l.nb8, acc);
           }
         }
-        for (std::int64_t b = 0; b < nb8; ++b) {
-          requant_store_n(acc[b], shift, op.relu, po + co16 + 8 * b,
-                          std::min<std::int64_t>(8, tail - 8 * b));
+        for (std::int64_t b = 0; b < l.nb8; ++b) {
+          requant_store_n(acc[b], shift, op.relu, po + l.co16 + 8 * b,
+                          std::min<std::int64_t>(8, l.tail - 8 * b));
         }
       }
     }
   }
 }
 
-void tconv2d_avx2(const TensorI8& x, const QOp& op, TensorI8& out,
-                  int fix_pos_in, tensor::TensorArena* arena) {
+void tconv2d_avx2(const TensorI8& x, const QOp& op, const PackedWeights& pw,
+                  TensorI8& out, int fix_pos_in, tensor::TensorArena* arena) {
   const int shift = fix_pos_in + op.fix_pos_w - op.fix_pos_out;
-  const std::int64_t ci = x.shape()[2];
-  const std::int64_t co = op.out_shape[2];
-  const std::int64_t co16 = co & ~std::int64_t{15};
-  const std::int64_t tail = co - co16;
-  const std::int64_t cpairs = (ci + 1) / 2;
-  const std::int64_t nb8 = (tail + 7) / 8;  // 0..2
-  const std::int8_t* W = op.weights.data();
+  const PackLayout l(x.shape()[2], op.out_shape[2]);
+  assert(l.fits(pw, op.kernel * op.kernel));
+  const std::vector<std::int32_t> xplane = pack_input_pairs(x);
 
-  // Tail channels use the repacked madd operands and a masked store into
-  // the accumulator plane (full-width loads stay in bounds because
-  // tconv_scratch pads the plane by 8 int32).
-  std::vector<short> tail_packed;
+  // The tail adds into the accumulator plane through a masked store
+  // (full-width loads stay in bounds because tconv_scratch pads the plane
+  // by 8 int32).
   __m256i tmask[2] = {_mm256_setzero_si256(), _mm256_setzero_si256()};
-  if (tail > 0) {
-    tail_packed = pack_pair_weights(op, ci, co, co16, tail);
-    const __m256i idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    for (std::int64_t b = 0; b < nb8; ++b) {
-      tmask[b] = _mm256_cmpgt_epi32(
-          _mm256_set1_epi32(static_cast<int>(tail - 8 * b)), idx);
-    }
+  const __m256i idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  for (std::int64_t b = 0; b < l.nb8; ++b) {
+    tmask[b] = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(l.tail - 8 * b)), idx);
   }
 
   std::vector<std::int32_t> local;
@@ -354,37 +303,20 @@ void tconv2d_avx2(const TensorI8& x, const QOp& op, TensorI8& out,
   detail::tconv_acc_init(op, acc);
   detail::tconv_scatter(
       x, op, acc,
-      [&](std::int32_t* pa, const std::int8_t* px, const std::int8_t* pw,
-          std::int64_t nci, std::int64_t nco) {
-        // Full 16-wide blocks: accumulate every input channel in registers
-        // with the same madd pairing as the conv, then touch the
-        // accumulator plane once per block (instead of a read-modify-write
-        // per input channel).
-        for (std::int64_t ob = 0; ob < co16; ob += 16) {
+      [&](std::int32_t* pa, const std::int8_t* px, const std::int8_t* pwt,
+          std::int64_t, std::int64_t) {
+        const std::int32_t* xrow =
+            xplane.data() + (px - x.data()) / l.ci * l.cpairs;
+        const std::int64_t t = (pwt - op.weights.data()) / (l.ci * l.co);
+        // Each block sums every input channel in registers, then touches
+        // the accumulator plane once.
+        for (std::int64_t bi = 0; bi < l.nblk; ++bi) {
           __m256i acc_lo = _mm256_setzero_si256();
           __m256i acc_hi = _mm256_setzero_si256();
-          const std::int8_t* pwb = pw + ob;
-          for (std::int64_t c = 0; c < nci; c += 2) {
-            const int x0 = px[c];
-            const int x1 = c + 1 < nci ? px[c + 1] : 0;
-            const int xp = (x0 & 0xFFFF) |
-                           static_cast<int>(static_cast<unsigned>(x1) << 16);
-            const __m256i xv = _mm256_set1_epi32(xp);
-            const __m256i wa = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                reinterpret_cast<const __m128i*>(pwb + c * nco)));
-            const __m256i wb =
-                c + 1 < nci
-                    ? _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                          reinterpret_cast<const __m128i*>(pwb +
-                                                           (c + 1) * nco)))
-                    : _mm256_setzero_si256();
-            acc_lo = _mm256_add_epi32(
-                acc_lo, _mm256_madd_epi16(_mm256_unpacklo_epi16(wa, wb), xv));
-            acc_hi = _mm256_add_epi32(
-                acc_hi, _mm256_madd_epi16(_mm256_unpackhi_epi16(wa, wb), xv));
-          }
-          __m256i* a0 = reinterpret_cast<__m256i*>(pa + ob);
-          __m256i* a1 = reinterpret_cast<__m256i*>(pa + ob + 8);
+          block_mac(xrow, pw.blocks.data() + l.block_at(t, bi), l.cpairs,
+                    acc_lo, acc_hi);
+          __m256i* a0 = reinterpret_cast<__m256i*>(pa + 16 * bi);
+          __m256i* a1 = reinterpret_cast<__m256i*>(pa + 16 * bi + 8);
           _mm256_storeu_si256(
               a0, _mm256_add_epi32(
                       _mm256_loadu_si256(a0),
@@ -394,27 +326,17 @@ void tconv2d_avx2(const TensorI8& x, const QOp& op, TensorI8& out,
                       _mm256_loadu_si256(a1),
                       _mm256_permute2x128_si256(acc_lo, acc_hi, 0x31)));
         }
-        if (tail > 0) {
-          const std::int64_t t = (pw - W) / (nci * nco);  // tap index
-          const short* wt = tail_packed.data() + t * cpairs * nb8 * 16;
-          for (std::int64_t cp = 0; cp < cpairs; ++cp) {
-            const int x0 = px[2 * cp];
-            const int x1 = 2 * cp + 1 < nci ? px[2 * cp + 1] : 0;
-            const int xp = (x0 & 0xFFFF) |
-                           static_cast<int>(static_cast<unsigned>(x1) << 16);
-            const __m256i xb = _mm256_set1_epi32(xp);
-            for (std::int64_t b = 0; b < nb8; ++b) {
-              std::int32_t* ptr = pa + co16 + 8 * b;
-              const __m256i prod = _mm256_madd_epi16(
-                  _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                      wt + (cp * nb8 + b) * 16)),
-                  xb);
-              _mm256_maskstore_epi32(
-                  ptr, tmask[b],
-                  _mm256_add_epi32(_mm256_loadu_si256(
-                                       reinterpret_cast<const __m256i*>(ptr)),
-                                   prod));
-            }
+        if (l.tail > 0) {
+          __m256i tacc[2] = {_mm256_setzero_si256(), _mm256_setzero_si256()};
+          tail_mac(xrow, pw.tail.data() + l.tail_at(t), l.cpairs, l.nb8,
+                   tacc);
+          for (std::int64_t b = 0; b < l.nb8; ++b) {
+            std::int32_t* ptr = pa + l.co16 + 8 * b;
+            _mm256_maskstore_epi32(
+                ptr, tmask[b],
+                _mm256_add_epi32(
+                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ptr)),
+                    tacc[b]));
           }
         }
       });

@@ -82,10 +82,11 @@ inline std::int32_t* tconv_scratch(const QOp& op, tensor::TensorArena* arena,
 namespace seneca::quant::kernels {
 
 #if defined(SENECA_KERNELS_AVX2)
-void conv2d_avx2(const TensorI8& x, const QOp& op, TensorI8& out,
-                 int fix_pos_in);
-void tconv2d_avx2(const TensorI8& x, const QOp& op, TensorI8& out,
-                  int fix_pos_in, tensor::TensorArena* arena);
+PackedWeights pack_weights_avx2(const QOp& op);
+void conv2d_avx2(const TensorI8& x, const QOp& op, const PackedWeights& pw,
+                 TensorI8& out, int fix_pos_in);
+void tconv2d_avx2(const TensorI8& x, const QOp& op, const PackedWeights& pw,
+                  TensorI8& out, int fix_pos_in, tensor::TensorArena* arena);
 void maxpool2d_avx2(const TensorI8& x, TensorI8& out);
 void requant_row_avx2(const std::int8_t* src, std::int8_t* dst,
                       std::int64_t n, int shift);

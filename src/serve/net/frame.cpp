@@ -298,8 +298,9 @@ WireHello WireHello::decode(const std::vector<std::uint8_t>& payload) {
   h.rung_offset = r.i32();
   h.queue_capacity = r.u64();
   const std::uint16_t n = r.u16();
-  if (n > kMaxRungs) {
-    throw FrameError("hello: rung count exceeds cap");
+  // Telemetry levels index this table, so a worker must announce a rung.
+  if (n == 0 || n > kMaxRungs) {
+    throw FrameError("hello: rung count outside 1..cap");
   }
   h.rungs.resize(n);
   for (Rung& rung : h.rungs) {

@@ -191,6 +191,14 @@ void RemoteBoard::on_response(const WireResponse& wr) {
 }
 
 void RemoteBoard::on_telemetry(WireTelemetry wt) {
+  // The level indexes the hello's rung table (rung_cost); a worker naming a
+  // rung it never announced breaks the protocol, so it is never stored.
+  if (wt.level < 0 ||
+      static_cast<std::size_t>(wt.level) >= hello_costs_.size()) {
+    mark_dead("telemetry: level " + std::to_string(wt.level) +
+              " outside the hello's rung table");
+    return;
+  }
   {
     util::LockGuard lock(telemetry_mutex_);
     telemetry_ = std::move(wt);

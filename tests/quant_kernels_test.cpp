@@ -11,6 +11,7 @@
 #include <cfenv>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -160,6 +161,50 @@ TEST_F(SimdKernelsTest, TConv2DBitExactAcrossBackends) {
         EXPECT_TRUE(same_tensor(got2, ref))
             << "ci=" << ci << " co=" << co << " shift=" << shift << " (arena)";
       }
+    }
+  }
+}
+
+TEST_F(SimdKernelsTest, WidestLayersBitExactWithReusedPackAndWithout) {
+  // The widest 16M shapes: bott_a/bott_b's 3x3 conv at 2x2x512->512,
+  // dec4_a's at 4x4x512->256, and the 2x2x512->256 tconv into dec4. One
+  // pack is built up front and reused over three inputs, as DpuCoreSim
+  // does; a call without a pack packs for itself.
+  struct Case {
+    QOpKind kind;
+    std::int64_t hw, ci, co;
+  };
+  const Case cases[] = {{QOpKind::kConv2D, 2, 512, 512},
+                        {QOpKind::kConv2D, 4, 512, 256},
+                        {QOpKind::kTConv2D, 2, 512, 256}};
+  std::uint64_t seed = 4000;
+  for (const Case& c : cases) {
+    ++seed;
+    const bool conv = c.kind == QOpKind::kConv2D;
+    const std::int64_t ohw = conv ? c.hw : 2 * c.hw;
+    // A 12-bit right shift keeps most of the 4608-term sums unsaturated.
+    const int fp_in = 4, fp_w = 3, shift = 12;
+    const QOp op = make_op(c.kind, 3, c.ci, c.co, Shape{ohw, ohw, c.co}, fp_w,
+                           fp_in + fp_w - shift, (seed % 2) != 0, seed);
+    const kernels::PackedWeights pack = kernels::pack_weights(op);
+    for (std::uint64_t frame = 0; frame < 3; ++frame) {
+      const TensorI8 x = random_i8(Shape{c.hw, c.hw, c.ci}, seed * 10 + frame);
+      TensorI8 ref(op.out_shape), reused(op.out_shape), per_call(op.out_shape);
+      if (conv) {
+        qconv2d_forward(x, op, ref, fp_in);
+        kernels::conv2d(x, op, reused, fp_in, &pack);
+        kernels::conv2d(x, op, per_call, fp_in);
+      } else {
+        qtconv2d_forward(x, op, ref, fp_in);
+        kernels::tconv2d(x, op, reused, fp_in, nullptr, &pack);
+        kernels::tconv2d(x, op, per_call, fp_in);
+      }
+      EXPECT_TRUE(same_tensor(reused, ref))
+          << "ci=" << c.ci << " co=" << c.co << " frame=" << frame
+          << " (reused pack)";
+      EXPECT_TRUE(same_tensor(per_call, ref))
+          << "ci=" << c.ci << " co=" << c.co << " frame=" << frame
+          << " (no pack)";
     }
   }
 }
@@ -354,11 +399,12 @@ struct Built {
   std::int64_t size = 0;
 };
 
-Built build_model(std::uint64_t seed, std::int64_t size) {
+Built build_model(std::uint64_t seed, std::int64_t size,
+                  std::int64_t base_filters = 4) {
   nn::UNet2DConfig cfg;
   cfg.input_size = size;
   cfg.depth = 2;
-  cfg.base_filters = 4;
+  cfg.base_filters = base_filters;
   cfg.seed = seed;
   auto graph = nn::build_unet2d(cfg);
   for (int i = 0; i < 3; ++i) {
@@ -456,6 +502,39 @@ TEST_F(KernelsTest, CoreSimBitExactWithArenaAcrossFrames) {
   (void)sim.run(x, 1, &arena);
   (void)sim.run(x, 1, &arena);
   EXPECT_LE(arena.mallocs(), after_warm + 2);
+}
+
+TEST_F(KernelsTest, CoreSimPacksFollowTheModelNotBackendOrAddress) {
+  // A simulator packs its own weights at construction, whatever backend is
+  // active then, and nothing else reads those packs. Every simulator here
+  // is built with kScalar pinned and run under kSimd and kAuto. Two run
+  // alternately on one thread; the first is destroyed and rebuilt over the
+  // other of two same-shaped models each frame, so its weights are likely
+  // to land where the last model's were. Base 8 filters give 16- and
+  // 32-wide layers (block MAC) beside the 6-class head (tail MAC).
+  const Built a = build_model(11, 16, 8);
+  const Built b = build_model(12, 16);
+  const Built c = build_model(13, 16, 8);
+  kernels::set_backend(kernels::Backend::kScalar);
+  const dpu::DpuCoreSim second(&b.xmodel);
+  std::unique_ptr<dpu::DpuCoreSim> first;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    const Built& m = i % 2 == 0 ? a : c;
+    kernels::set_backend(kernels::Backend::kScalar);
+    first.reset();
+    first = std::make_unique<dpu::DpuCoreSim>(&m.xmodel);
+    const TensorI8 x = random_input(16, 60 + i);
+    const TensorI8 ref_first = m.qgraph.forward(x);
+    const TensorI8 ref_second = b.qgraph.forward(x);
+    for (kernels::Backend be :
+         {kernels::Backend::kSimd, kernels::Backend::kAuto}) {
+      kernels::set_backend(be);
+      EXPECT_TRUE(same_tensor(first->run(x).output, ref_first))
+          << "frame " << i << " backend " << kernels::backend_name(be);
+      EXPECT_TRUE(same_tensor(second.run(x).output, ref_second))
+          << "frame " << i << " backend " << kernels::backend_name(be);
+    }
+  }
 }
 
 }  // namespace

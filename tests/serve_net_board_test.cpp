@@ -2,7 +2,8 @@
 // a thread, no fork): hello handshake, request round-trips over loopback and
 // unix sockets, wrong-shaped frame rejection, telemetry-backed board probes,
 // control verbs, dead-worker semantics, cross-board migration through a
-// ClusterRouter of RemoteBoards, and online re-pricing visibility end to end.
+// ClusterRouter of RemoteBoards, online re-pricing visibility end to end, and
+// a fake worker whose rung table or level the router must not trust.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -24,8 +25,10 @@ using namespace seneca;
 using serve::net::BoardDaemon;
 using serve::net::BoardDaemonConfig;
 using serve::net::Endpoint;
+using serve::net::FrameType;
 using serve::net::RemoteBoard;
 using serve::net::RemoteBoardConfig;
+using serve::net::WireHello;
 
 serve::ServerConfig small_server(std::size_t capacity = 16) {
   serve::ServerConfig cfg;
@@ -297,6 +300,71 @@ TEST(RemoteBoardTest, OnlineRepriceReachesRemoteCostView) {
   const auto local = fx.daemon().board().observed(0);
   EXPECT_GT(local.samples, 0u);
   board.shutdown();
+}
+
+// ------------------------------------------------ untrusted worker tables
+
+/// A fake worker on loopback: sends `hello`, then answers every heartbeat
+/// with telemetry at `level` until the router side hangs up.
+class FakeWorker {
+ public:
+  FakeWorker(WireHello hello, std::int32_t level)
+      : listener_(serve::net::Listener::bind(Endpoint{})) {
+    thread_ = std::thread([this, hello = std::move(hello), level] {
+      try {
+        serve::net::Socket s = listener_.accept(5000.0);
+        s.write_frame(FrameType::kHello, hello.encode(), 1000.0);
+        for (;;) {
+          const serve::net::Frame f = s.read_frame(5000.0);
+          if (f.type == FrameType::kGoodbye) return;
+          if (f.type != FrameType::kHeartbeat) continue;
+          serve::net::WireTelemetry t;
+          t.seq = serve::net::WireHeartbeat::decode(f.payload).seq;
+          t.level = level;
+          t.rungs.resize(hello.rungs.size());
+          s.write_frame(FrameType::kTelemetry, t.encode(), 1000.0);
+        }
+      } catch (const std::exception&) {
+        // The router side refused the hello or hung up.
+      }
+    });
+  }
+  ~FakeWorker() { thread_.join(); }
+  const Endpoint& endpoint() const { return listener_.local_endpoint(); }
+
+ private:
+  serve::net::Listener listener_;
+  std::thread thread_;
+};
+
+TEST(RemoteBoardTest, HelloWithoutRungsIsRefused) {
+  // Telemetry levels index the hello's rung table: a worker announcing no
+  // rung could only be priced from outside it.
+  WireHello hello;
+  hello.name = "empty";
+  hello.queue_capacity = 4;
+  FakeWorker worker(hello, 0);
+  EXPECT_THROW(
+      { RemoteBoard board(0, worker.endpoint(), fast_remote()); },
+      serve::net::FrameError);
+}
+
+TEST(RemoteBoardTest, TelemetryLevelOutsideRungTableFaultsTheBoard) {
+  for (const std::int32_t level : {7, -1}) {
+    WireHello hello;
+    hello.name = "liar";
+    hello.queue_capacity = 4;
+    hello.rungs.push_back({"4M", 0.01, 9.0, 0.09});
+    hello.rungs.push_back({"2M", 0.005, 8.0, 0.04});
+    FakeWorker worker(hello, level);
+    RemoteBoard board(0, worker.endpoint(), fast_remote());
+    EXPECT_FALSE(board.refresh(2000.0)) << "level " << level;
+    EXPECT_TRUE(board.fault_injected()) << "level " << level;
+    EXPECT_GE(board.level(), 0) << "level " << level;
+    EXPECT_LT(board.level(), static_cast<int>(board.num_rungs()))
+        << "level " << level;
+    board.shutdown();
+  }
 }
 
 }  // namespace
