@@ -2,10 +2,12 @@
 //
 // Two sections. The micro section times each kernel (conv / tconv / pool /
 // concat) on a representative mid-network shape per backend, plus the conv
-// of 16M's widest layer (bott_b, 2x2x512->512), and reports the per-kernel
-// speedup. Conv and tconv are timed as served: their weights are packed
-// once outside the timed loop, as DpuCoreSim packs them at load. The
-// end-to-end section runs the functional DPU core
+// of 16M's widest layer (bott_b, 2x2x512->512) and two narrow convs whose
+// channels all lie past the last 16-wide block, in the AVX2 tail (4M's
+// dec0_a, 32x32x16->8, and the class head, 32x32x8->6), and reports the
+// per-kernel speedup. Conv and tconv are timed as served: their weights
+// are packed once outside the timed loop, as DpuCoreSim packs them at
+// load. The end-to-end section runs the functional DPU core
 // simulator over every model-zoo ladder rung and reports frames/second per
 // backend — scalar (the int64 reference, no arena: the pre-kernel-layer
 // executor) and SIMD (AVX2/NEON) with a TensorArena, which is what
@@ -113,16 +115,34 @@ std::vector<MicroResult> run_micro(double min_seconds) {
   bott.weights = seeded_input(Shape{3, 3, 512, 512}, 23);
   bott.bias.assign(512, 321);
 
+  // The narrow layers, whose output channels all lie in the AVX2 tail: 4M's
+  // dec0_a at 32x32 input and the 6-class head.
+  QOp dec0a = conv;
+  dec0a.out_shape = Shape{32, 32, 8};
+  dec0a.weights = seeded_input(Shape{3, 3, 16, 8}, 31);
+  dec0a.bias.assign(8, 321);
+  QOp head = conv;
+  head.relu = false;
+  head.out_shape = Shape{32, 32, 6};
+  head.weights = seeded_input(Shape{3, 3, 8, 6}, 37);
+  head.bias.assign(6, 321);
+
   const quant::kernels::PackedWeights conv_pack =
       quant::kernels::pack_weights(conv);
   const quant::kernels::PackedWeights tconv_pack =
       quant::kernels::pack_weights(tconv);
   const quant::kernels::PackedWeights bott_pack =
       quant::kernels::pack_weights(bott);
+  const quant::kernels::PackedWeights dec0a_pack =
+      quant::kernels::pack_weights(dec0a);
+  const quant::kernels::PackedWeights head_pack =
+      quant::kernels::pack_weights(head);
 
   const TensorI8 x = seeded_input(Shape{hw, hw, ci}, 17);
   const TensorI8 xt = seeded_input(Shape{hw / 2, hw / 2, co}, 19);
   const TensorI8 xb = seeded_input(Shape{2, 2, 512}, 29);
+  const TensorI8 xd = seeded_input(Shape{32, 32, 16}, 41);
+  const TensorI8 xh = seeded_input(Shape{32, 32, 8}, 43);
   const int fp_in = 4;
   tensor::TensorArena arena;
   TensorI8 out_conv(conv.out_shape);
@@ -130,13 +150,17 @@ std::vector<MicroResult> run_micro(double min_seconds) {
   TensorI8 out_pool(Shape{hw / 2, hw / 2, ci});
   TensorI8 out_cat(Shape{hw, hw, 2 * ci});
   TensorI8 out_bott(bott.out_shape);
+  TensorI8 out_dec0a(dec0a.out_shape);
+  TensorI8 out_head(head.out_shape);
 
-  std::vector<MicroResult> results(5);
+  std::vector<MicroResult> results(7);
   results[0].kernel = "conv2d 56x56x32->64 k3";
   results[1].kernel = "tconv2d 28x28x64->56x56x32";
   results[2].kernel = "maxpool 56x56x32";
   results[3].kernel = "concat 2x 56x56x32";
   results[4].kernel = "conv2d 2x2x512->512 k3 (16M bott_b)";
+  results[5].kernel = "conv2d 32x32x16->8 k3 (4M dec0_a)";
+  results[6].kernel = "conv2d 32x32x8->6 k3 (class head)";
   for (Backend b : bench_backends()) {
     quant::kernels::set_backend(b);
     const Timing tc = time_loop(
@@ -156,11 +180,21 @@ std::vector<MicroResult> run_micro(double min_seconds) {
     const Timing tb = time_loop(
         [&] { quant::kernels::conv2d(xb, bott, out_bott, fp_in, &bott_pack); },
         min_seconds, 1 << 20);
+    const Timing td = time_loop(
+        [&] {
+          quant::kernels::conv2d(xd, dec0a, out_dec0a, fp_in, &dec0a_pack);
+        },
+        min_seconds, 1 << 20);
+    const Timing th = time_loop(
+        [&] { quant::kernels::conv2d(xh, head, out_head, fp_in, &head_pack); },
+        min_seconds, 1 << 20);
     results[0].us.push_back(1e6 / tc.fps);
     results[1].us.push_back(1e6 / tt.fps);
     results[2].us.push_back(1e6 / tp.fps);
     results[3].us.push_back(1e6 / tk.fps);
     results[4].us.push_back(1e6 / tb.fps);
+    results[5].us.push_back(1e6 / td.fps);
+    results[6].us.push_back(1e6 / th.fps);
   }
   quant::kernels::set_backend(Backend::kAuto);
   return results;

@@ -34,8 +34,10 @@ class DpuCoreSim {
 
   /// Executes one inference. `bw_sharers` is the number of cores currently
   /// contending for DDR bandwidth (affects LOAD/SAVE latency only). With an
-  /// `arena`, per-layer buffers recycle its slabs across frames (zero heap
-  /// allocation in steady state except the returned output); the arena is
+  /// `arena`, per-layer activations recycle its slabs across frames, and in
+  /// steady state only the returned output takes a fresh one. A run still
+  /// allocates its per-layer activation and fix-pos vectors, and each
+  /// AVX2 conv/tconv call its input-pair plane. The arena is
   /// single-threaded state — one per executing thread, never shared.
   RunResult run(const TensorI8& input, int bw_sharers = 1,
                 tensor::TensorArena* arena = nullptr) const;

@@ -27,6 +27,7 @@ inline std::int32_t rshift_round32(std::int32_t v, int shift) {
 /// Walks the transposed conv as the reference does — scatter from each
 /// input pixel through every in-range tap — handing the accumulator row,
 /// input-pixel row, and tap weight row to `body(pa, px, pw, ci, co)`.
+/// NEON's tconv; the AVX2 tconv walks tiles of input pixels instead.
 template <typename Body>
 void tconv_scatter(const TensorI8& x, const QOp& op, std::int32_t* acc,
                    Body&& body) {

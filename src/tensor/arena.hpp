@@ -5,7 +5,11 @@
 // used to construct a fresh TensorI8 per layer per frame: one malloc plus a
 // full zero-fill each, repeated tens of times per inference. An arena keeps
 // the freed slabs and hands them back by best fit, so from the second frame
-// on a steady-state executor performs zero heap allocations.
+// on the activations cost no allocation, except the output that escapes.
+// A frame still allocates outside the arena: each AVX2 conv/tconv call its
+// int32 input-pair plane (28 per 4M or 16M frame), a tconv given no arena
+// its accumulator plane, and each executor its per-layer activation and
+// fix-pos vectors.
 //
 // Lifetime rules:
 //  - An arena is single-threaded state. Share one per execution thread

@@ -103,30 +103,50 @@ class SimdKernelsTest : public KernelsTest {
 TEST_F(SimdKernelsTest, Conv2DBitExactAcrossBackends) {
   // Channel counts straddle the AVX2 (16-wide, 2-channel-paired) and NEON
   // (8-wide) vector widths: odd, prime, exact multiples, and multiples+1.
-  const std::int64_t cis[] = {1, 2, 3, 5, 16, 17};
-  const std::int64_t cos[] = {1, 3, 7, 8, 16, 17, 33};
+  const std::int64_t cis[] = {1, 2, 3, 5, 6, 8, 11, 16, 17};
+  const std::int64_t cos[] = {1, 3, 6, 7, 8, 11, 16, 17, 33};
   // fp_in + fp_w - fp_out: positive (right shift), zero, and negative (the
   // left-shift requant path).
   const int shifts[] = {4, 2, 0, -2};
+  // Every map width from 1 to 9 meets every channel pair with both kernel
+  // sizes, so a row ends on a whole 4-pixel tile or on 1 to 3 single
+  // pixels, and some rows are narrower than one tile. The height cycles
+  // with the channel pair, so each (h, w, k) meets nine pairs, 1xn and nx1
+  // maps among them. The shift and relu skip the seed's low bit, which k
+  // fixes, so each k meets every shift and both relu values.
   std::uint64_t seed = 1;
+  std::int64_t pair = 0;
   for (std::int64_t ci : cis) {
     for (std::int64_t co : cos) {
-      for (int shift : shifts) {
-        for (int relu = 0; relu < 2; ++relu) {
+      ++pair;
+      for (std::int64_t w = 1; w <= 9; ++w) {
+        for (std::int64_t k : {1, 3}) {
           ++seed;
-          const std::int64_t k = (seed % 2) ? 3 : 1;
-          const std::int64_t h = 5, w = 4;
+          const std::int64_t h = 1 + (pair + 2 * w + k) % 9;
+          const int shift = shifts[(seed / 2) % 4];
+          const bool relu = (seed / 8) % 2 != 0;
           const int fp_in = 4, fp_w = 3;
           QOp op = make_op(QOpKind::kConv2D, k, ci, co, Shape{h, w, co}, fp_w,
-                           fp_in + fp_w - shift, relu != 0, seed);
-          const TensorI8 x = random_i8(Shape{h, w, ci}, seed);
-          TensorI8 ref(op.out_shape);
-          qconv2d_forward(x, op, ref, fp_in);
-          TensorI8 got(op.out_shape);
-          kernels::conv2d(x, op, got, fp_in);
-          EXPECT_TRUE(same_tensor(got, ref))
-              << "ci=" << ci << " co=" << co << " k=" << k
-              << " shift=" << shift << " relu=" << relu;
+                           fp_in + fp_w - shift, relu, seed);
+          // One pack reused over two frames, as DpuCoreSim does, and a call
+          // without a pack, which packs for itself.
+          const kernels::PackedWeights pack = kernels::pack_weights(op);
+          for (std::uint64_t frame = 0; frame < 2; ++frame) {
+            const TensorI8 x = random_i8(Shape{h, w, ci}, seed * 10 + frame);
+            TensorI8 ref(op.out_shape), reused(op.out_shape),
+                per_call(op.out_shape);
+            qconv2d_forward(x, op, ref, fp_in);
+            kernels::conv2d(x, op, reused, fp_in, &pack);
+            kernels::conv2d(x, op, per_call, fp_in);
+            EXPECT_TRUE(same_tensor(reused, ref))
+                << "ci=" << ci << " co=" << co << " k=" << k << " h=" << h
+                << " w=" << w << " shift=" << shift << " relu=" << relu
+                << " frame=" << frame << " (reused pack)";
+            EXPECT_TRUE(same_tensor(per_call, ref))
+                << "ci=" << ci << " co=" << co << " k=" << k << " h=" << h
+                << " w=" << w << " shift=" << shift << " relu=" << relu
+                << " frame=" << frame << " (no pack)";
+          }
         }
       }
     }
@@ -134,32 +154,45 @@ TEST_F(SimdKernelsTest, Conv2DBitExactAcrossBackends) {
 }
 
 TEST_F(SimdKernelsTest, TConv2DBitExactAcrossBackends) {
-  const std::int64_t cis[] = {1, 3, 8, 17};
-  const std::int64_t cos[] = {1, 5, 16, 33};
+  const std::int64_t cis[] = {1, 3, 6, 8, 11, 17};
+  const std::int64_t cos[] = {1, 5, 6, 8, 11, 16, 33};
   const int shifts[] = {4, 0, -2};
+  // Input maps 1 to 9 wide, as in the conv sweep: rows of input pixels end
+  // on every remainder, and the left column's first tap, whose output
+  // column falls off the map, sits in 4-pixel tiles and in single pixels.
   std::uint64_t seed = 1000;
+  std::int64_t pair = 0;
   for (std::int64_t ci : cis) {
     for (std::int64_t co : cos) {
-      for (int shift : shifts) {
+      ++pair;
+      for (std::int64_t w = 1; w <= 9; ++w) {
         ++seed;
-        const std::int64_t h = 3, w = 4, k = 3;
+        const std::int64_t h = 1 + (pair + w) % 9;
+        const std::int64_t k = 3;
+        const int shift = shifts[seed % 3];
         const int fp_in = 4, fp_w = 3;
         QOp op = make_op(QOpKind::kTConv2D, k, ci, co, Shape{2 * h, 2 * w, co},
                          fp_w, fp_in + fp_w - shift, (seed % 2) != 0, seed);
-        const TensorI8 x = random_i8(Shape{h, w, ci}, seed);
-        TensorI8 ref(op.out_shape);
-        qtconv2d_forward(x, op, ref, fp_in);
-        // Both with and without an arena-provided accumulator plane.
-        TensorI8 got(op.out_shape);
-        kernels::tconv2d(x, op, got, fp_in, nullptr);
-        EXPECT_TRUE(same_tensor(got, ref))
-            << "ci=" << ci << " co=" << co << " shift=" << shift
-            << " (no arena)";
+        // One pack reused over two frames with an arena-provided
+        // accumulator plane, and a call with neither.
+        const kernels::PackedWeights pack = kernels::pack_weights(op);
         TensorArena arena;
-        TensorI8 got2(op.out_shape);
-        kernels::tconv2d(x, op, got2, fp_in, &arena);
-        EXPECT_TRUE(same_tensor(got2, ref))
-            << "ci=" << ci << " co=" << co << " shift=" << shift << " (arena)";
+        for (std::uint64_t frame = 0; frame < 2; ++frame) {
+          const TensorI8 x = random_i8(Shape{h, w, ci}, seed * 10 + frame);
+          TensorI8 ref(op.out_shape), reused(op.out_shape),
+              per_call(op.out_shape);
+          qtconv2d_forward(x, op, ref, fp_in);
+          kernels::tconv2d(x, op, reused, fp_in, &arena, &pack);
+          kernels::tconv2d(x, op, per_call, fp_in, nullptr);
+          EXPECT_TRUE(same_tensor(reused, ref))
+              << "ci=" << ci << " co=" << co << " h=" << h << " w=" << w
+              << " shift=" << shift << " frame=" << frame
+              << " (reused pack, arena)";
+          EXPECT_TRUE(same_tensor(per_call, ref))
+              << "ci=" << ci << " co=" << co << " h=" << h << " w=" << w
+              << " shift=" << shift << " frame=" << frame
+              << " (no pack, no arena)";
+        }
       }
     }
   }
