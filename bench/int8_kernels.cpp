@@ -2,18 +2,21 @@
 //
 // Two sections. The micro section times each kernel (conv / tconv / pool /
 // concat) on a representative mid-network shape per backend, plus the conv
-// of 16M's widest layer (bott_b, 2x2x512->512) and two narrow convs whose
-// channels all lie past the last 16-wide block, in the AVX2 tail (4M's
-// dec0_a, 32x32x16->8, and the class head, 32x32x8->6), and reports the
-// per-kernel speedup. Conv and tconv are timed as served: their weights
+// of 16M's widest layer (bott_b, 2x2x512->512), two narrow convs whose
+// channels all lie past the last 16-wide block, in the x86 tail (4M's
+// dec0_a, 32x32x16->8, and the class head, 32x32x8->6), and the two shapes
+// where the x86 quad format leaves most of its lanes empty (16M's stem,
+// 64x64x1->16, and 2M's enc0_b, 32x32x6->6), and reports the per-kernel
+// speedup. Conv and tconv are timed as served: their weights
 // are packed once outside the timed loop, as DpuCoreSim packs them at
 // load. The end-to-end section runs the functional DPU core
 // simulator over every model-zoo ladder rung and reports frames/second per
 // backend — scalar (the int64 reference, no arena: the pre-kernel-layer
-// executor) and SIMD (AVX2/NEON) with a TensorArena, which is what
+// executor) and SIMD with a TensorArena, which is what
 // VartRunner workers run in production. Every backend's output is compared
 // bit-for-bit against the scalar quant::QGraph reference on a deterministic
-// pseudo-random input.
+// pseudo-random input. The header and every JSON row name the SIMD path
+// that ran: avx-vnni (the x86 quad format), avx2 (the pair format) or neon.
 //
 //   ./int8_kernels [--input 128] [--min-time 0.4] [--max-frames 60]
 //                  [--min-speedup 4] [--json int8_kernels.json] [--strict]
@@ -127,6 +130,17 @@ std::vector<MicroResult> run_micro(double min_seconds) {
   head.weights = seeded_input(Shape{3, 3, 8, 6}, 37);
   head.bias.assign(6, 321);
 
+  // The shapes whose input lanes are mostly padding in the x86 quad format:
+  // 16M's stem at 64x64 input (ci = 1) and 2M's enc0_b at 32x32 (ci = 6).
+  QOp stem = conv;
+  stem.out_shape = Shape{64, 64, 16};
+  stem.weights = seeded_input(Shape{3, 3, 1, 16}, 47);
+  stem.bias.assign(16, 321);
+  QOp enc0b = conv;
+  enc0b.out_shape = Shape{32, 32, 6};
+  enc0b.weights = seeded_input(Shape{3, 3, 6, 6}, 53);
+  enc0b.bias.assign(6, 321);
+
   const quant::kernels::PackedWeights conv_pack =
       quant::kernels::pack_weights(conv);
   const quant::kernels::PackedWeights tconv_pack =
@@ -137,12 +151,18 @@ std::vector<MicroResult> run_micro(double min_seconds) {
       quant::kernels::pack_weights(dec0a);
   const quant::kernels::PackedWeights head_pack =
       quant::kernels::pack_weights(head);
+  const quant::kernels::PackedWeights stem_pack =
+      quant::kernels::pack_weights(stem);
+  const quant::kernels::PackedWeights enc0b_pack =
+      quant::kernels::pack_weights(enc0b);
 
   const TensorI8 x = seeded_input(Shape{hw, hw, ci}, 17);
   const TensorI8 xt = seeded_input(Shape{hw / 2, hw / 2, co}, 19);
   const TensorI8 xb = seeded_input(Shape{2, 2, 512}, 29);
   const TensorI8 xd = seeded_input(Shape{32, 32, 16}, 41);
   const TensorI8 xh = seeded_input(Shape{32, 32, 8}, 43);
+  const TensorI8 xs = seeded_input(Shape{64, 64, 1}, 59);
+  const TensorI8 xe = seeded_input(Shape{32, 32, 6}, 61);
   const int fp_in = 4;
   tensor::TensorArena arena;
   TensorI8 out_conv(conv.out_shape);
@@ -152,8 +172,10 @@ std::vector<MicroResult> run_micro(double min_seconds) {
   TensorI8 out_bott(bott.out_shape);
   TensorI8 out_dec0a(dec0a.out_shape);
   TensorI8 out_head(head.out_shape);
+  TensorI8 out_stem(stem.out_shape);
+  TensorI8 out_enc0b(enc0b.out_shape);
 
-  std::vector<MicroResult> results(7);
+  std::vector<MicroResult> results(9);
   results[0].kernel = "conv2d 56x56x32->64 k3";
   results[1].kernel = "tconv2d 28x28x64->56x56x32";
   results[2].kernel = "maxpool 56x56x32";
@@ -161,6 +183,8 @@ std::vector<MicroResult> run_micro(double min_seconds) {
   results[4].kernel = "conv2d 2x2x512->512 k3 (16M bott_b)";
   results[5].kernel = "conv2d 32x32x16->8 k3 (4M dec0_a)";
   results[6].kernel = "conv2d 32x32x8->6 k3 (class head)";
+  results[7].kernel = "conv2d 64x64x1->16 k3 (16M stem)";
+  results[8].kernel = "conv2d 32x32x6->6 k3 (2M enc0_b)";
   for (Backend b : bench_backends()) {
     quant::kernels::set_backend(b);
     const Timing tc = time_loop(
@@ -188,6 +212,14 @@ std::vector<MicroResult> run_micro(double min_seconds) {
     const Timing th = time_loop(
         [&] { quant::kernels::conv2d(xh, head, out_head, fp_in, &head_pack); },
         min_seconds, 1 << 20);
+    const Timing ts = time_loop(
+        [&] { quant::kernels::conv2d(xs, stem, out_stem, fp_in, &stem_pack); },
+        min_seconds, 1 << 20);
+    const Timing te = time_loop(
+        [&] {
+          quant::kernels::conv2d(xe, enc0b, out_enc0b, fp_in, &enc0b_pack);
+        },
+        min_seconds, 1 << 20);
     results[0].us.push_back(1e6 / tc.fps);
     results[1].us.push_back(1e6 / tt.fps);
     results[2].us.push_back(1e6 / tp.fps);
@@ -195,6 +227,8 @@ std::vector<MicroResult> run_micro(double min_seconds) {
     results[4].us.push_back(1e6 / tb.fps);
     results[5].us.push_back(1e6 / td.fps);
     results[6].us.push_back(1e6 / th.fps);
+    results[7].us.push_back(1e6 / ts.fps);
+    results[8].us.push_back(1e6 / te.fps);
   }
   quant::kernels::set_backend(Backend::kAuto);
   return results;
@@ -226,6 +260,9 @@ int main(int argc, char** argv) try {
     backend_names.push_back(quant::kernels::backend_name(
         b == Backend::kSimd ? quant::kernels::active_backend() : b));
   }
+
+  std::printf("SIMD path: %s\n",
+              quant::kernels::backend_name(quant::kernels::active_backend()));
 
   // Per-kernel micro bench.
   const auto micro = run_micro(min_time * 0.25);
@@ -316,7 +353,9 @@ int main(int argc, char** argv) try {
 
   bench::JsonWriter json;
   for (const auto& r : results) {
-    json.obj().field("model", r.model);
+    json.obj()
+        .field("model", r.model)
+        .field("simd_path", backend_names.back());
     for (std::size_t j = 0; j < r.fps.size(); ++j) {
       json.field("fps_" + std::string(backend_names[j]), r.fps[j]);
     }

@@ -37,7 +37,7 @@ class DpuCoreSim {
   /// `arena`, per-layer activations recycle its slabs across frames, and in
   /// steady state only the returned output takes a fresh one. A run still
   /// allocates its per-layer activation and fix-pos vectors, and each
-  /// AVX2 conv/tconv call its input-pair plane. The arena is
+  /// x86 conv/tconv call its input plane. The arena is
   /// single-threaded state — one per executing thread, never shared.
   RunResult run(const TensorI8& input, int bw_sharers = 1,
                 tensor::TensorArena* arena = nullptr) const;
@@ -49,6 +49,8 @@ class DpuCoreSim {
   // Per conv/tconv layer, payloads_' weights in the SIMD kernel's operand
   // layout. The xmodel's weights never change, and the packs are read-only
   // after construction, so every thread running this simulator shares them.
+  // The x86 quad format's packs take about the int8 weights' size again
+  // (8.7 MB on 16M at 64x64), the pair format's twice that.
   std::vector<quant::kernels::PackedWeights> packs_;
   // Folded feature maps of kConst layers, rebuilt from the weights blob.
   std::vector<TensorI8> consts_;

@@ -7,6 +7,10 @@
 
 #include "quant/kernels_internal.hpp"
 
+#if defined(SENECA_KERNELS_AVXVNNI)
+#include <cpuid.h>
+#endif
+
 namespace seneca::quant::kernels {
 
 namespace {
@@ -29,6 +33,28 @@ bool simd_available() {
 #endif
 }
 
+#if defined(SENECA_KERNELS_AVX2)
+bool avxvnni_available() {
+#if defined(SENECA_KERNELS_AVXVNNI)
+  // CPUID.(EAX=7, ECX=1):EAX[4], read directly: not every compiler's
+  // __builtin_cpu_supports knows "avxvnni". AVX2 being usable implies the
+  // OS saves the ymm state that VNNI's VEX form uses.
+  static const bool ok = [] {
+    unsigned a = 0, b = 0, c = 0, d = 0;
+    if (!simd_available() || !__get_cpuid_count(7, 0, &a, &b, &c, &d) ||
+        a < 1) {
+      return false;
+    }
+    __get_cpuid_count(7, 1, &a, &b, &c, &d);
+    return ((a >> 4) & 1u) != 0;
+  }();
+  return ok;
+#else
+  return false;
+#endif
+}
+#endif
+
 Backend active_backend() {
   const Backend b = g_backend.load(std::memory_order_relaxed);
   if (b == Backend::kScalar || !simd_available()) return Backend::kScalar;
@@ -43,7 +69,7 @@ const char* backend_name(Backend b) {
     case Backend::kScalar: return "scalar";
     case Backend::kSimd:
 #if defined(SENECA_KERNELS_AVX2)
-      return "avx2";
+      return avxvnni_available() ? "avx-vnni" : "avx2";
 #elif defined(SENECA_KERNELS_NEON)
       return "neon";
 #else
@@ -83,6 +109,29 @@ bool shift32_safe(const QOp& op, std::int64_t ci, int shift) {
   return bound <= std::numeric_limits<std::int32_t>::max();
 }
 
+#if defined(SENECA_KERNELS_AVX2)
+/// The x86 operand format this CPU runs: int8 quads on AVX-VNNI, else
+/// int16 pairs. A pack is only ever read by the format that built it.
+struct X86Format {
+  PackedWeights (*pack)(const QOp&);
+  void (*conv)(const TensorI8&, const QOp&, const PackedWeights&, TensorI8&,
+               int);
+  void (*tconv)(const TensorI8&, const QOp&, const PackedWeights&,
+                TensorI8&, int, tensor::TensorArena*);
+};
+
+const X86Format& x86_format() {
+#if defined(SENECA_KERNELS_AVXVNNI)
+  static constexpr X86Format kQuads{pack_weights_avxvnni, conv2d_avxvnni,
+                                    tconv2d_avxvnni};
+  if (avxvnni_available()) return kQuads;
+#endif
+  static constexpr X86Format kPairs{pack_weights_avx2, conv2d_avx2,
+                                    tconv2d_avx2};
+  return kPairs;
+}
+#endif
+
 }  // namespace
 
 bool acc32_safe(const QOp& op, std::int64_t ci) {
@@ -91,7 +140,7 @@ bool acc32_safe(const QOp& op, std::int64_t ci) {
 
 PackedWeights pack_weights([[maybe_unused]] const QOp& op) {
 #if defined(SENECA_KERNELS_AVX2)
-  if (simd_available()) return pack_weights_avx2(op);
+  if (simd_available()) return x86_format().pack(op);
 #endif
   return {};
 }
@@ -107,8 +156,9 @@ void conv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in,
          interval_shift32_safe(conv_acc_interval(op, ci, {-128, 127}), shift));
   if (active_backend() == Backend::kSimd && shift32_safe(op, ci, shift)) {
 #if defined(SENECA_KERNELS_AVX2)
-    if (packed) return conv2d_avx2(x, op, *packed, out, fix_pos_in);
-    return conv2d_avx2(x, op, pack_weights_avx2(op), out, fix_pos_in);
+    const X86Format& f = x86_format();
+    if (packed) return f.conv(x, op, *packed, out, fix_pos_in);
+    return f.conv(x, op, f.pack(op), out, fix_pos_in);
 #elif defined(SENECA_KERNELS_NEON)
     return conv2d_neon(x, op, out, fix_pos_in);
 #endif
@@ -125,8 +175,9 @@ void tconv2d(const TensorI8& x, const QOp& op, TensorI8& out, int fix_pos_in,
          interval_shift32_safe(conv_acc_interval(op, ci, {-128, 127}), shift));
   if (active_backend() == Backend::kSimd && shift32_safe(op, ci, shift)) {
 #if defined(SENECA_KERNELS_AVX2)
-    if (packed) return tconv2d_avx2(x, op, *packed, out, fix_pos_in, arena);
-    return tconv2d_avx2(x, op, pack_weights_avx2(op), out, fix_pos_in, arena);
+    const X86Format& f = x86_format();
+    if (packed) return f.tconv(x, op, *packed, out, fix_pos_in, arena);
+    return f.tconv(x, op, f.pack(op), out, fix_pos_in, arena);
 #elif defined(SENECA_KERNELS_NEON)
     return tconv2d_neon(x, op, out, fix_pos_in, arena);
 #endif

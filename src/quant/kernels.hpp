@@ -8,14 +8,16 @@
 //
 // Two backends, selected once at build time and dispatched per call:
 //  - kScalar:  the int64-accumulator reference in qgraph.cpp.
-//  - kSimd:    AVX2 (x86-64, -mavx2, cpuid-checked at runtime) or NEON
-//              (aarch64) intrinsics. The innermost loop is a widening
-//              int8 x int8 -> int32 multiply-accumulate over contiguous
-//              output channels ([K][K][Cin][Cout] weight layout).
+//  - kSimd:    x86-64 (cpuid-checked at runtime) or NEON (aarch64)
+//              intrinsics over contiguous output channels ([K][K][Cin][Cout]
+//              weight layout). On x86 the conv and tconv run one of two
+//              operand formats, whichever the CPU supports: int8 quads
+//              through AVX-VNNI's vpdpbusd (4 input channels per lane),
+//              else int16 pairs through AVX2's vpmaddwd (2 per lane).
 // A call that does not run SIMD runs the reference; where no SIMD backend
 // is built, that is every call.
 //
-// The AVX2 conv and tconv read their weights as int16 `madd` operands
+// The x86 conv and tconv read their weights as packed operands
 // (PackedWeights). An owner of weights that never change packs them once
 // with pack_weights and passes the pack on every call, as DpuCoreSim does
 // at load; a call without a pack packs for itself.
@@ -25,7 +27,9 @@
 // shift); otherwise the dispatcher falls back to the int64 scalar
 // reference, so bit-exactness holds unconditionally.
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <vector>
 
 #include "quant/qgraph.hpp"
@@ -36,7 +40,7 @@ namespace seneca::quant::kernels {
 enum class Backend {
   kAuto,    // best available: SIMD if compiled in and CPU-supported
   kScalar,  // int64 reference kernels in qgraph.cpp
-  kSimd,    // AVX2 / NEON (resolves to kScalar when unavailable)
+  kSimd,    // x86 / NEON (resolves to kScalar when unavailable)
 };
 
 /// True when a SIMD backend was compiled in AND the CPU supports it.
@@ -50,20 +54,49 @@ Backend active_backend();
 /// per kernel call.
 void set_backend(Backend b);
 
+/// kSimd names the path that runs: "avx-vnni", "avx2" or "neon".
 const char* backend_name(Backend b);
 
-/// A conv/tconv layer's weights as the AVX2 kernel's int16 `madd`
-/// operands: `blocks` for the 16-wide output-channel blocks, `tail` for the
-/// channels past the last block, pair-packed 8 to a vector. Empty on NEON,
-/// whose loop reads the int8 weights, and wherever AVX2 does not run.
-struct PackedWeights {
-  std::vector<std::int16_t> blocks;
-  std::vector<std::int16_t> tail;
+/// Allocates on a 64-byte boundary, so no 32-byte operand vector of a pack
+/// straddles two cache lines.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>& /*other*/) noexcept {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    ::operator delete(p, n * sizeof(T), kAlign);
+  }
+  template <typename U>
+  bool operator==(const CacheLineAllocator<U>& /*other*/) const noexcept {
+    return true;
+  }
 };
 
-/// Packs `op`'s [K][K][Cin][Cout] weights wherever the AVX2 loop can run
-/// (built in and CPU-supported), whatever the active backend: set_backend
-/// may change after packing. Elsewhere the pack is empty.
+/// A conv/tconv layer's weights as the x86 kernel's operands, in the format
+/// this CPU runs. Every operand vector is 8 int32 lanes, one per output
+/// channel, in channel order; a lane holds the weights of 4 consecutive
+/// input channels as int8 (quads, AVX-VNNI) or of 2 as int16 (pairs, AVX2).
+/// `operands` holds the 16-wide output-channel blocks, then the channels
+/// past the last block. The quad format also keeps, per tap, 128 times each
+/// output channel's weight sum, then the whole-kernel total (`sums`): what
+/// the +128 offset that makes the input unsigned adds to an accumulator.
+/// Empty on NEON, whose loop reads the int8 weights, and wherever x86 SIMD
+/// does not run.
+struct PackedWeights {
+  std::vector<std::int32_t, CacheLineAllocator<std::int32_t>> operands;
+  std::vector<std::int32_t> sums;
+};
+
+/// Packs `op`'s [K][K][Cin][Cout] weights in the format this CPU runs,
+/// wherever x86 SIMD can run (built in and CPU-supported), whatever the
+/// active backend: set_backend may change after packing. Elsewhere the pack
+/// is empty.
 PackedWeights pack_weights(const QOp& op);
 
 // --- Dispatch entry points (signatures mirror the scalar reference). -----

@@ -1,6 +1,7 @@
 #pragma once
-// Shared pieces of the SIMD INT8 kernel backends (AVX2 / NEON) and their
-// entry points, which only the dispatcher in kernels.cpp calls. Everything
+// Shared pieces of the SIMD INT8 kernel backends (x86 / NEON) and their
+// entry points, which the dispatcher in kernels.cpp calls (the kernel tests
+// also call the x86 format this CPU is not dispatched to). Everything
 // here assumes the dispatcher already proved int32 accumulation safe
 // (kernels::acc32_safe + the shift headroom check in kernels.cpp).
 
@@ -27,7 +28,7 @@ inline std::int32_t rshift_round32(std::int32_t v, int shift) {
 /// Walks the transposed conv as the reference does — scatter from each
 /// input pixel through every in-range tap — handing the accumulator row,
 /// input-pixel row, and tap weight row to `body(pa, px, pw, ci, co)`.
-/// NEON's tconv; the AVX2 tconv walks tiles of input pixels instead.
+/// NEON's tconv; the x86 tconv walks tiles of input pixels instead.
 template <typename Body>
 void tconv_scatter(const TensorI8& x, const QOp& op, std::int32_t* acc,
                    Body&& body) {
@@ -68,7 +69,7 @@ inline void tconv_acc_init(const QOp& op, std::int32_t* acc) {
 
 /// Accumulator plane from the arena when present, else call-local. Eight
 /// int32 of slack past the end keep full-width vector loads at the plane
-/// tail in bounds (the AVX2 small-co path reads 8 lanes and mask-stores the
+/// tail in bounds (the x86 small-co path reads 8 lanes and mask-stores the
 /// valid ones).
 inline std::int32_t* tconv_scratch(const QOp& op, tensor::TensorArena* arena,
                                    std::vector<std::int32_t>& local) {
@@ -83,6 +84,11 @@ inline std::int32_t* tconv_scratch(const QOp& op, tensor::TensorArena* arena,
 namespace seneca::quant::kernels {
 
 #if defined(SENECA_KERNELS_AVX2)
+/// Whether this CPU runs the quad format: built in, and CPUID reports
+/// AVX-VNNI. Where it does not, the x86 conv and tconv run the pair format.
+bool avxvnni_available();
+
+// The pair format (kernels_avx2.cpp): int16 pairs through vpmaddwd.
 PackedWeights pack_weights_avx2(const QOp& op);
 void conv2d_avx2(const TensorI8& x, const QOp& op, const PackedWeights& pw,
                  TensorI8& out, int fix_pos_in);
@@ -91,6 +97,16 @@ void tconv2d_avx2(const TensorI8& x, const QOp& op, const PackedWeights& pw,
 void maxpool2d_avx2(const TensorI8& x, TensorI8& out);
 void requant_row_avx2(const std::int8_t* src, std::int8_t* dst,
                       std::int64_t n, int shift);
+#endif
+#if defined(SENECA_KERNELS_AVXVNNI)
+// The quad format (kernels_avxvnni.cpp): offset int8 quads through
+// vpdpbusd. Call only where avxvnni_available().
+PackedWeights pack_weights_avxvnni(const QOp& op);
+void conv2d_avxvnni(const TensorI8& x, const QOp& op, const PackedWeights& pw,
+                    TensorI8& out, int fix_pos_in);
+void tconv2d_avxvnni(const TensorI8& x, const QOp& op,
+                     const PackedWeights& pw, TensorI8& out, int fix_pos_in,
+                     tensor::TensorArena* arena);
 #endif
 #if defined(SENECA_KERNELS_NEON)
 void conv2d_neon(const TensorI8& x, const QOp& op, TensorI8& out,

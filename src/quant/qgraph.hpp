@@ -67,8 +67,8 @@ struct QGraph {
   /// are then the only tensors copied). With an arena, intermediate
   /// activations recycle its slabs from the second frame on. A forward
   /// still allocates its per-op activation and fix-pos vectors, and each
-  /// AVX2 conv/tconv call, given no pack, its packed weights and its
-  /// input-pair plane. The arena is single-threaded state — one per
+  /// x86 conv/tconv call, given no pack, its packed weights and its
+  /// input plane. The arena is single-threaded state — one per
   /// executor thread, never shared across concurrent forwards.
   TensorI8 forward(const TensorI8& input,
                    std::vector<TensorI8>* activations = nullptr,

@@ -6,8 +6,8 @@
 // full zero-fill each, repeated tens of times per inference. An arena keeps
 // the freed slabs and hands them back by best fit, so from the second frame
 // on the activations cost no allocation, except the output that escapes.
-// A frame still allocates outside the arena: each AVX2 conv/tconv call its
-// int32 input-pair plane (28 per 4M or 16M frame), a tconv given no arena
+// A frame still allocates outside the arena: each x86 conv/tconv call its
+// input plane (28 per 4M or 16M frame), a tconv given no arena
 // its accumulator plane, and each executor its per-layer activation and
 // fix-pos vectors.
 //

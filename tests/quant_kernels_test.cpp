@@ -1,5 +1,5 @@
 // SENECA-Kernels property tests. The central invariant: the SIMD backend of
-// the vectorized INT8 layer (AVX2/NEON) is BIT-EXACT against the scalar
+// the vectorized INT8 layer (x86 / NEON) is BIT-EXACT against the scalar
 // int64 reference kernels in qgraph.cpp — across shapes, channel
 // counts not divisible by the vector width, negative requant shifts (the
 // left-shift path), ReLU on/off, and the int32-overflow fallback. Plus the
@@ -8,9 +8,12 @@
 // aliasing, and arena recycling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfenv>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "dpu/core_sim.hpp"
 #include "nn/unet.hpp"
 #include "quant/kernels.hpp"
+#include "quant/kernels_internal.hpp"
 #include "quant/quantizer.hpp"
 #include "tensor/arena.hpp"
 #include "util/rng.hpp"
@@ -98,6 +102,45 @@ class SimdKernelsTest : public KernelsTest {
   }
 };
 
+// On x86 the dispatcher runs one of two operand formats, whichever the CPU
+// supports: int8 quads on AVX-VNNI, else int16 pairs. Where it runs quads,
+// the conv and tconv sweeps also run the pair format through its entry
+// points, so the format CPUs without AVX-VNNI take stays tested here.
+bool quads_dispatched() {
+#if defined(SENECA_KERNELS_AVX2)
+  return kernels::avxvnni_available();
+#else
+  return false;
+#endif
+}
+
+#if defined(SENECA_KERNELS_AVX2)
+kernels::PackedWeights pack_pairs(const QOp& op) {
+  return quads_dispatched() ? kernels::pack_weights_avx2(op)
+                            : kernels::PackedWeights{};
+}
+/// The pair format's output, or the reference itself where the dispatcher
+/// runs the pair format already.
+TensorI8 run_pairs(const TensorI8& x, const QOp& op,
+                   const kernels::PackedWeights& pairs, const TensorI8& ref,
+                   int fp_in) {
+  if (!quads_dispatched()) return ref;
+  TensorI8 out(op.out_shape);
+  if (op.kind == QOpKind::kConv2D) {
+    kernels::conv2d_avx2(x, op, pairs, out, fp_in);
+  } else {
+    kernels::tconv2d_avx2(x, op, pairs, out, fp_in, nullptr);
+  }
+  return out;
+}
+#else
+kernels::PackedWeights pack_pairs(const QOp&) { return {}; }
+TensorI8 run_pairs(const TensorI8&, const QOp&, const kernels::PackedWeights&,
+                   const TensorI8& ref, int) {
+  return ref;
+}
+#endif
+
 // ------------------------------------------------ conv bit-exactness -----
 
 TEST_F(SimdKernelsTest, Conv2DBitExactAcrossBackends) {
@@ -131,6 +174,7 @@ TEST_F(SimdKernelsTest, Conv2DBitExactAcrossBackends) {
           // One pack reused over two frames, as DpuCoreSim does, and a call
           // without a pack, which packs for itself.
           const kernels::PackedWeights pack = kernels::pack_weights(op);
+          const kernels::PackedWeights pairs = pack_pairs(op);
           for (std::uint64_t frame = 0; frame < 2; ++frame) {
             const TensorI8 x = random_i8(Shape{h, w, ci}, seed * 10 + frame);
             TensorI8 ref(op.out_shape), reused(op.out_shape),
@@ -146,6 +190,10 @@ TEST_F(SimdKernelsTest, Conv2DBitExactAcrossBackends) {
                 << "ci=" << ci << " co=" << co << " k=" << k << " h=" << h
                 << " w=" << w << " shift=" << shift << " relu=" << relu
                 << " frame=" << frame << " (no pack)";
+            EXPECT_TRUE(same_tensor(run_pairs(x, op, pairs, ref, fp_in), ref))
+                << "ci=" << ci << " co=" << co << " k=" << k << " h=" << h
+                << " w=" << w << " shift=" << shift << " relu=" << relu
+                << " frame=" << frame << " (pair format)";
           }
         }
       }
@@ -176,6 +224,7 @@ TEST_F(SimdKernelsTest, TConv2DBitExactAcrossBackends) {
         // One pack reused over two frames with an arena-provided
         // accumulator plane, and a call with neither.
         const kernels::PackedWeights pack = kernels::pack_weights(op);
+        const kernels::PackedWeights pairs = pack_pairs(op);
         TensorArena arena;
         for (std::uint64_t frame = 0; frame < 2; ++frame) {
           const TensorI8 x = random_i8(Shape{h, w, ci}, seed * 10 + frame);
@@ -192,6 +241,9 @@ TEST_F(SimdKernelsTest, TConv2DBitExactAcrossBackends) {
               << "ci=" << ci << " co=" << co << " h=" << h << " w=" << w
               << " shift=" << shift << " frame=" << frame
               << " (no pack, no arena)";
+          EXPECT_TRUE(same_tensor(run_pairs(x, op, pairs, ref, fp_in), ref))
+              << "ci=" << ci << " co=" << co << " h=" << h << " w=" << w
+              << " shift=" << shift << " frame=" << frame << " (pair format)";
         }
       }
     }
@@ -220,6 +272,7 @@ TEST_F(SimdKernelsTest, WidestLayersBitExactWithReusedPackAndWithout) {
     const QOp op = make_op(c.kind, 3, c.ci, c.co, Shape{ohw, ohw, c.co}, fp_w,
                            fp_in + fp_w - shift, (seed % 2) != 0, seed);
     const kernels::PackedWeights pack = kernels::pack_weights(op);
+    const kernels::PackedWeights pairs = pack_pairs(op);
     for (std::uint64_t frame = 0; frame < 3; ++frame) {
       const TensorI8 x = random_i8(Shape{c.hw, c.hw, c.ci}, seed * 10 + frame);
       TensorI8 ref(op.out_shape), reused(op.out_shape), per_call(op.out_shape);
@@ -238,8 +291,87 @@ TEST_F(SimdKernelsTest, WidestLayersBitExactWithReusedPackAndWithout) {
       EXPECT_TRUE(same_tensor(per_call, ref))
           << "ci=" << c.ci << " co=" << c.co << " frame=" << frame
           << " (no pack)";
+      EXPECT_TRUE(same_tensor(run_pairs(x, op, pairs, ref, fp_in), ref))
+          << "ci=" << c.ci << " co=" << c.co << " frame=" << frame
+          << " (pair format)";
     }
   }
+}
+
+TEST_F(SimdKernelsTest, OffsetFormStaysExactWhereItsU8PartOverflowsInt32) {
+  // The quad format multiplies x + 128 and takes 128 sum(w) back out
+  // through the accumulator seed. With every weight -128 and every input
+  // 127, the u8 part of a 3x3 conv's centre sum at ci = 10922 is
+  // 255 * -128 * 98298, about -3.2e9, past int32, while the true sum,
+  // about -1.6e9, lies inside it, and the dispatcher's headroom proof
+  // admits the layer at every shift from 22 to 29. Channel 0 has every
+  // weight -128, channel 1 every weight 127 (a u8 part of +3.2e9), and
+  // channel 2 -128 on its first half of input channels and 127 on the
+  // rest. Each case runs the quad entry points directly as well as the
+  // dispatcher, so a fallback to the reference cannot pass for the quad
+  // format. At shift 24 the centre output of channel 0, -1.6e9 / 2^24, is
+  // about -95: unsaturated.
+  if (!quads_dispatched()) {
+    GTEST_SKIP() << "this CPU lacks AVX-VNNI, so the quad format never runs";
+  }
+#if defined(SENECA_KERNELS_AVXVNNI)
+  const std::int64_t k = 3, hw = 3, co = 17;
+  const int fp_in = 0, fp_w = 0;
+  int cases = 0, unsaturated = 0;
+  for (const std::int64_t ci : {10922, 10000, 5000}) {
+    for (const QOpKind kind : {QOpKind::kConv2D, QOpKind::kTConv2D}) {
+      const bool conv = kind == QOpKind::kConv2D;
+      const std::int64_t ohw = conv ? hw : 2 * hw;
+      QOp op = make_op(kind, k, ci, co, Shape{ohw, ohw, co}, fp_w, 0, false,
+                       static_cast<std::uint64_t>(ci));
+      for (std::int64_t tc = 0; tc < k * k * ci; ++tc) {
+        const std::int64_t c = tc % ci;
+        for (std::int64_t o = 0; o < co; ++o) {
+          const bool low = o % 3 == 0 || (o % 3 == 2 && c < ci / 2);
+          op.weights[tc * co + o] = low ? std::int8_t{-128} : std::int8_t{127};
+        }
+      }
+      TensorI8 x(Shape{hw, hw, ci});
+      for (auto& v : x) v = 127;
+      std::int64_t max_bias = 0;
+      for (const std::int32_t b : op.bias) {
+        max_bias = std::max<std::int64_t>(max_bias, std::abs(b));
+      }
+      const kernels::PackedWeights quads = kernels::pack_weights_avxvnni(op);
+      for (int shift = 22; shift <= 29; ++shift) {
+        op.fix_pos_out = fp_in + fp_w - shift;
+        // The bound the dispatcher's headroom proof checks.
+        ASSERT_LE(max_bias + k * k * ci * 128 * 128 +
+                      (std::int64_t{1} << (shift - 1)),
+                  std::numeric_limits<std::int32_t>::max());
+        TensorI8 ref(op.out_shape), direct(op.out_shape),
+            dispatched(op.out_shape);
+        if (conv) {
+          qconv2d_forward(x, op, ref, fp_in);
+          kernels::conv2d_avxvnni(x, op, quads, direct, fp_in);
+          kernels::conv2d(x, op, dispatched, fp_in);
+        } else {
+          qtconv2d_forward(x, op, ref, fp_in);
+          kernels::tconv2d_avxvnni(x, op, quads, direct, fp_in, nullptr);
+          kernels::tconv2d(x, op, dispatched, fp_in);
+        }
+        EXPECT_TRUE(same_tensor(direct, ref))
+            << "ci=" << ci << " conv=" << conv << " shift=" << shift;
+        EXPECT_TRUE(same_tensor(dispatched, ref))
+            << "ci=" << ci << " conv=" << conv << " shift=" << shift
+            << " (dispatched)";
+        ++cases;
+        const int centre = ref[((ohw / 2) * ohw + ohw / 2) * co];
+        if (centre > -128 && centre < 127) ++unsaturated;
+        if (conv && ci == 10922 && shift == 24) {
+          EXPECT_TRUE(centre > -128 && centre < 127) << "centre=" << centre;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 48);
+  EXPECT_GT(unsaturated, 0);
+#endif
 }
 
 TEST_F(SimdKernelsTest, MaxPoolBitExactAcrossBackends) {
