@@ -22,8 +22,9 @@
 //   4. cycle-model consistency — per-instruction cycles and the per-layer
 //      latency must re-derive from the arch timing model.
 //
-// It runs as a mandatory post-pass on every compile() (make_verify_pass)
-// and standalone over .xmodel files via tools/seneca_verify.
+// It runs as a mandatory post-pass on every compile() (make_verify_pass),
+// as seneca_boardd's load gate over the .xmodel files it is given, and
+// standalone over .xmodel files via tools/seneca_verify.
 
 #include <cstdint>
 #include <stdexcept>

@@ -101,7 +101,7 @@ void Graph::backward(const TensorF& grad_output) {
 }
 
 void Graph::zero_grad() {
-  for (Param* p : params()) p->grad.fill(0.f);
+  for (Param* p : params()) p->grad().fill(0.f);
 }
 
 std::vector<Param*> Graph::params() {

@@ -20,13 +20,23 @@ using tensor::Shape;
 using tensor::TensorF;
 
 /// A trainable parameter: value plus gradient accumulator of the same shape.
+/// The accumulator is allocated, zeroed, on the first call to grad(), so a
+/// graph that is only folded and quantized never holds a second copy of its
+/// weights.
 struct Param {
   std::string name;
   TensorF value;
-  TensorF grad;
 
-  Param(std::string n, Shape shape)
-      : name(std::move(n)), value(shape, 0.f), grad(shape, 0.f) {}
+  Param(std::string n, Shape shape) : name(std::move(n)), value(shape, 0.f) {}
+
+  TensorF& grad() {
+    if (grad_.numel() != value.numel()) grad_ = TensorF(value.shape(), 0.f);
+    return grad_;
+  }
+  bool has_grad() const { return grad_.numel() != 0; }
+
+ private:
+  TensorF grad_;
 };
 
 class Layer {

@@ -82,12 +82,13 @@ void Conv2D::backward(const std::vector<const TensorF*>& in, const TensorF&,
   const std::int64_t k = kernel_;
   const std::int64_t pad = k / 2;
   const float* wp = weight_.value.data();
-  float* gwp = weight_.grad.data();
+  float* gwp = weight_.grad().data();
+  float* gbp = bias_.grad().data();
 
   for (std::int64_t oy = 0; oy < h; ++oy) {
     for (std::int64_t ox = 0; ox < w; ++ox) {
       const float* pg = grad_out.data() + (oy * w + ox) * co;
-      for (std::int64_t o = 0; o < co; ++o) bias_.grad[o] += pg[o];
+      for (std::int64_t o = 0; o < co; ++o) gbp[o] += pg[o];
       for (std::int64_t ky = 0; ky < k; ++ky) {
         const std::int64_t iy = oy + ky - pad;
         if (iy < 0 || iy >= h) continue;
@@ -193,10 +194,11 @@ void TransposedConv2D::backward(const std::vector<const TensorF*>& in,
   const std::int64_t co = out_channels_;
   const std::int64_t k = kernel_;
   const float* wp = weight_.value.data();
-  float* gwp = weight_.grad.data();
+  float* gwp = weight_.grad().data();
+  float* gbp = bias_.grad().data();
 
   for (std::int64_t i = 0; i < grad_out.numel(); i += co) {
-    for (std::int64_t o = 0; o < co; ++o) bias_.grad[o] += grad_out[i + o];
+    for (std::int64_t o = 0; o < co; ++o) gbp[o] += grad_out[i + o];
   }
   for (std::int64_t iy = 0; iy < h; ++iy) {
     for (std::int64_t ix = 0; ix < w; ++ix) {

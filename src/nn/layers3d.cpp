@@ -91,13 +91,14 @@ void Conv3D::backward(const std::vector<const TensorF*>& in, const TensorF&,
   const std::int64_t k = kernel_;
   const std::int64_t pad = k / 2;
   const float* wp = weight_.value.data();
-  float* gwp = weight_.grad.data();
+  float* gwp = weight_.grad().data();
+  float* gbp = bias_.grad().data();
 
   for (std::int64_t oz = 0; oz < d; ++oz) {
     for (std::int64_t oy = 0; oy < h; ++oy) {
       for (std::int64_t ox = 0; ox < w; ++ox) {
         const float* pg = grad_out.data() + ((oz * h + oy) * w + ox) * co;
-        for (std::int64_t o = 0; o < co; ++o) bias_.grad[o] += pg[o];
+        for (std::int64_t o = 0; o < co; ++o) gbp[o] += pg[o];
         for (std::int64_t kz = 0; kz < k; ++kz) {
           const std::int64_t iz = oz + kz - pad;
           if (iz < 0 || iz >= d) continue;
@@ -208,10 +209,11 @@ void TransposedConv3D::backward(const std::vector<const TensorF*>& in,
   const std::int64_t co = out_channels_;
   const std::int64_t k = kKernel;
   const float* wp = weight_.value.data();
-  float* gwp = weight_.grad.data();
+  float* gwp = weight_.grad().data();
+  float* gbp = bias_.grad().data();
 
   for (std::int64_t i = 0; i < grad_out.numel(); i += co) {
-    for (std::int64_t o = 0; o < co; ++o) bias_.grad[o] += grad_out[i + o];
+    for (std::int64_t o = 0; o < co; ++o) gbp[o] += grad_out[i + o];
   }
   for (std::int64_t iz = 0; iz < d; ++iz) {
     for (std::int64_t iy = 0; iy < h; ++iy) {

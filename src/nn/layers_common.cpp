@@ -129,9 +129,11 @@ void BatchNorm::backward(const std::vector<const TensorF*>& in, const TensorF&,
       sum_dy_xhat[static_cast<std::size_t>(ch)] += pg[ch] * xhat;
     }
   }
+  TensorF& ggamma = gamma_.grad();
+  TensorF& gbeta = beta_.grad();
   for (std::int64_t ch = 0; ch < c; ++ch) {
-    gamma_.grad[ch] += sum_dy_xhat[static_cast<std::size_t>(ch)];
-    beta_.grad[ch] += sum_dy[static_cast<std::size_t>(ch)];
+    ggamma[ch] += sum_dy_xhat[static_cast<std::size_t>(ch)];
+    gbeta[ch] += sum_dy[static_cast<std::size_t>(ch)];
   }
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* px = x.data() + r * c;

@@ -12,15 +12,16 @@ void Sgd::step(const std::vector<Param*>& params) {
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
     Param& p = *params[i];
+    const TensorF& grad = p.grad();
     if (momentum_ > 0.f) {
       TensorF& vel = velocity_[i];
       for (std::int64_t j = 0; j < p.value.numel(); ++j) {
-        vel[j] = momentum_ * vel[j] + p.grad[j];
+        vel[j] = momentum_ * vel[j] + grad[j];
         p.value[j] -= lr_ * vel[j];
       }
     } else {
       for (std::int64_t j = 0; j < p.value.numel(); ++j) {
-        p.value[j] -= lr_ * p.grad[j];
+        p.value[j] -= lr_ * grad[j];
       }
     }
   }
@@ -43,8 +44,9 @@ void Adam::step(const std::vector<Param*>& params) {
     Param& p = *params[i];
     TensorF& m = m_[i];
     TensorF& v = v_[i];
+    const TensorF& grad = p.grad();
     for (std::int64_t j = 0; j < p.value.numel(); ++j) {
-      const float g = p.grad[j];
+      const float g = grad[j];
       m[j] = beta1_ * m[j] + (1.f - beta1_) * g;
       v[j] = beta2_ * v[j] + (1.f - beta2_) * g * g;
       const float mhat = m[j] / bc1;

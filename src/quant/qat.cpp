@@ -13,11 +13,10 @@ void fake_quantize(tensor::TensorF& t) {
   const double scale = std::ldexp(1.0, fp);
   const double inv = 1.0 / scale;
   for (auto& v : t) {
-    // std::round, not std::nearbyint: half-away-from-zero ties, independent
-    // of the ambient FP rounding mode — matches quantize_tensor and the
-    // runtime's rshift_round so QAT trains against deployment rounding.
-    const auto q = saturate_i8(
-        static_cast<std::int64_t>(std::round(static_cast<double>(v) * scale)));
+    // Half-away-from-zero ties, independent of the ambient FP rounding mode:
+    // the rounding quantize_tensor and the runtime's rshift_round use, so
+    // QAT trains against deployment rounding.
+    const std::int8_t q = round_saturate_i8(static_cast<double>(v) * scale);
     v = static_cast<float>(static_cast<double>(q) * inv);
   }
 }

@@ -13,11 +13,7 @@ TensorI8 quantize_tensor(const TensorF& x, int fix_pos) {
   TensorI8 q(x.shape());
   const double scale = std::ldexp(1.0, fix_pos);  // 2^fix_pos
   for (std::int64_t i = 0; i < x.numel(); ++i) {
-    // std::round is round-half-away-from-zero regardless of the ambient FP
-    // rounding mode — the same tie rule as the runtime's rshift_round, so
-    // calibration and execution agree on every representable tie.
-    const double v = std::round(static_cast<double>(x[i]) * scale);
-    q[i] = saturate_i8(static_cast<std::int64_t>(v));
+    q[i] = round_saturate_i8(static_cast<double>(x[i]) * scale);
   }
   return q;
 }
@@ -36,8 +32,7 @@ double quantization_mse(const TensorF& x, int fix_pos) {
   const double inv = 1.0 / scale;
   double mse = 0.0;
   for (std::int64_t i = 0; i < x.numel(); ++i) {
-    const double q = static_cast<double>(
-        saturate_i8(static_cast<std::int64_t>(std::round(x[i] * scale))));
+    const double q = round_saturate_i8(x[i] * scale);
     const double err = q * inv - x[i];
     mse += err * err;
   }
@@ -243,26 +238,24 @@ TensorI8 QGraph::forward(const TensorI8& input,
 Interval conv_acc_interval(const std::int8_t* weights, std::int64_t taps,
                            std::int64_t co, const std::int32_t* bias,
                            Interval in) {
-  Interval worst{0, 0};
-  bool first = true;
-  for (std::int64_t o = 0; o < co; ++o) {
-    std::int64_t lo = bias[o];
-    std::int64_t hi = bias[o];
-    for (std::int64_t t = 0; t < taps; ++t) {
-      const std::int64_t w = weights[t * co + o];
-      if (w == 0) continue;
-      const std::int64_t p1 = w * in.lo;
-      const std::int64_t p2 = w * in.hi;
+  if (co <= 0) return {0, 0};
+  std::vector<std::int64_t> lo(bias, bias + co);
+  std::vector<std::int64_t> hi(bias, bias + co);
+  // Taps outer, channels inner, so the [tap][co] weights are read in order.
+  // The sums are integers, so the loop order cannot change them.
+  for (std::int64_t t = 0; t < taps; ++t) {
+    const std::int8_t* row = weights + t * co;
+    for (std::int64_t o = 0; o < co; ++o) {
+      const std::int64_t p1 = row[o] * in.lo;
+      const std::int64_t p2 = row[o] * in.hi;
       // A tap can be absent (zero padding at borders, tconv phases), so its
       // contribution interval always includes 0.
-      lo += std::min({p1, p2, std::int64_t{0}});
-      hi += std::max({p1, p2, std::int64_t{0}});
+      lo[static_cast<std::size_t>(o)] += std::min({p1, p2, std::int64_t{0}});
+      hi[static_cast<std::size_t>(o)] += std::max({p1, p2, std::int64_t{0}});
     }
-    if (first || lo < worst.lo) worst.lo = lo;
-    if (first || hi > worst.hi) worst.hi = hi;
-    first = false;
   }
-  return worst;
+  return {*std::min_element(lo.begin(), lo.end()),
+          *std::max_element(hi.begin(), hi.end())};
 }
 
 Interval conv_acc_interval(const QOp& op, std::int64_t ci, Interval in) {

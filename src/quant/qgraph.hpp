@@ -86,6 +86,22 @@ inline std::int8_t saturate_i8(std::int64_t v) {
   return static_cast<std::int8_t>(v);
 }
 
+/// sat8(round-half-away-from-zero(v)), equal to saturate_i8(llround(v))
+/// wherever llround is defined, with no libm call: clamp to
+/// [-128.5, 127.5], truncate toward zero, then step one away from zero when
+/// the dropped fraction is at least a half. The fraction is exact (v and its
+/// truncation t share a sign and |t| <= |v| < |t| + 1, so v - t needs no
+/// rounding); NaN clamps to -128. The tie rule is the runtime's
+/// rshift_round's, so calibration and execution agree on every
+/// representable tie.
+inline std::int8_t round_saturate_i8(double v) {
+  v = v > -128.5 ? v : -128.5;
+  v = v < 127.5 ? v : 127.5;
+  const auto t = static_cast<std::int32_t>(v);
+  const double frac = v - static_cast<double>(t);
+  return saturate_i8(t + (frac >= 0.5) - (frac <= -0.5));
+}
+
 /// Round-half-away-from-zero right shift (shift may be <= 0: left shift).
 inline std::int64_t rshift_round(std::int64_t v, int shift) {
   if (shift <= 0) return v << (-shift);

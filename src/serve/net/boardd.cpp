@@ -19,7 +19,13 @@ void BoardDaemon::Conn::write(FrameType type,
 
 BoardDaemon::BoardDaemon(BoardDaemonConfig cfg)
     : cfg_(std::move(cfg)), listener_(Listener::bind(cfg_.listen)) {
-  board_ = std::make_unique<cluster::BoardSim>(0, cfg_.board);
+  // XModel serialization is canonical (a loaded model re-serializes to the
+  // bytes it was read from), so this digest names the file a rung came from.
+  for (const ModelSpec& rung : cfg_.board.ladder) {
+    const std::vector<std::uint8_t> bytes = rung.model.serialize();
+    digests_.push_back(crc32(bytes.data(), bytes.size()));
+  }
+  board_ = std::make_unique<cluster::BoardSim>(0, std::move(cfg_.board));
 }
 
 BoardDaemon::~BoardDaemon() {
@@ -32,9 +38,11 @@ std::vector<std::uint8_t> BoardDaemon::hello_payload() const {
   hello.name = board_->name();
   hello.rung_offset = board_->rung_offset();
   hello.queue_capacity = board_->queue_capacity();
-  for (const auto& c : board_->priced_costs()) {
-    hello.rungs.push_back(
-        {c.model, c.seconds_per_frame, c.watts, c.joules_per_frame});
+  const auto& costs = board_->priced_costs();
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    const cluster::RungCost& c = costs[i];
+    hello.rungs.push_back({c.model, c.seconds_per_frame, c.watts,
+                           c.joules_per_frame, digests_[i]});
   }
   return hello.encode();
 }

@@ -3,7 +3,7 @@
 // one BoardSim-backed InferenceServer behind a blocking SENECA-Wire accept
 // loop:
 //
-//   router ──connect──▶ [accept] ──▶ kHello
+//   router ──connect──▶ [accept] ──▶ kHello (rung costs + model digests)
 //          ──kRequest──▶ submit_async ──(completion cb)──▶ kResponse
 //          ──kHeartbeat─▶ kTelemetry (live stats + effective rung costs)
 //          ──kControl───▶ evict_queued / fault on,off / shutdown
@@ -19,7 +19,9 @@
 // seneca_boardd binary wraps it behind CLI flags + SIGTERM handling).
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "serve/cluster/board.hpp"
 #include "serve/net/frame.hpp"
@@ -27,6 +29,12 @@
 #include "util/mutex.hpp"
 
 namespace seneca::serve::net {
+
+/// seneca_boardd's exit status when its load gate refuses a model: an
+/// .xmodel that cannot be read or parsed, or one dpu::verify reports an
+/// error finding in (sysexits' EX_DATAERR). The Supervisor treats it as
+/// permanent: the same file would be refused again.
+constexpr int kModelRefusedExit = 65;
 
 struct BoardDaemonConfig {
   cluster::BoardConfig board;
@@ -86,8 +94,9 @@ class BoardDaemon {
   std::vector<std::uint8_t> hello_payload() const;
   std::vector<std::uint8_t> telemetry_payload(std::uint64_t seq) const;
 
-  BoardDaemonConfig cfg_;
+  BoardDaemonConfig cfg_;  // the ladder moves into board_ at construction
   Listener listener_;
+  std::vector<std::uint32_t> digests_;  // CRC32 of each rung's XModel bytes
   std::unique_ptr<cluster::BoardSim> board_;
   std::atomic<bool> stopping_{false};
 };

@@ -3,9 +3,14 @@
 // a fleet of these and a ClusterRouter routes to them over RemoteBoards.
 //
 //   ./seneca_boardd --listen tcp:127.0.0.1:0 --endpoint-file /tmp/b0.ep
-//                   --ladder 4M,2M [--input 32] [--workers 2]
+//                   --xmodel 4M.xmodel,2M.xmodel [--workers 2]
 //                   [--queue-capacity 32] [--rung-offset 0]
 //                   [--online-reprice] [--name worker0]
+//
+// --xmodel lists the ladder, best rung first: compiled .xmodel files (the
+// Supervisor writes them; so does edge_deployment). Like VART on the board,
+// boardd only loads: each file must parse and pass dpu::verify with no
+// error finding, or boardd exits with kModelRefusedExit before it binds.
 //
 // With --listen tcp:...:0 the kernel picks the port; the resolved endpoint
 // is published through --endpoint-file (write-to-temp + rename, so a reader
@@ -21,7 +26,8 @@
 #include <string>
 #include <vector>
 
-#include "core/workflow.hpp"
+#include "dpu/verify.hpp"
+#include "dpu/xmodel.hpp"
 #include "serve/net/boardd.hpp"
 #include "util/cli.hpp"
 
@@ -35,17 +41,36 @@ void on_signal(int) {
   if (g_daemon != nullptr) g_daemon->stop();  // atomic store: signal-safe
 }
 
-std::vector<std::string> split_ladder(const std::string& spec) {
-  std::vector<std::string> names;
+std::vector<std::string> split_list(const std::string& spec) {
+  std::vector<std::string> items;
   std::stringstream ss(spec);
   std::string item;
   while (std::getline(ss, item, ',')) {
-    if (!item.empty()) names.push_back(item);
+    if (!item.empty()) items.push_back(item);
   }
-  if (names.empty()) {
-    throw std::invalid_argument("--ladder needs at least one zoo model name");
+  if (items.empty()) {
+    throw std::invalid_argument("--xmodel needs at least one .xmodel path");
   }
-  return names;
+  return items;
+}
+
+/// The load gate: parse the file, then verify it. Returns false, with the
+/// reason on stderr, when the model must not be served.
+bool load_verified(const std::string& path, dpu::XModel& model) {
+  try {
+    model = dpu::XModel::load(path);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "[boardd] cannot load %s: %s\n", path.c_str(),
+                 e.what());
+    return false;
+  }
+  const std::vector<dpu::Finding> findings = dpu::verify(model);
+  if (dpu::has_errors(findings)) {
+    std::fprintf(stderr, "[boardd] %s fails verification:\n%s", path.c_str(),
+                 dpu::format_findings(model, findings).c_str());
+    return false;
+  }
+  return true;
 }
 
 /// Publish the endpoint atomically: a reader either sees nothing or the
@@ -68,8 +93,7 @@ int main(int argc, char** argv) try {
   const util::Cli cli(argc, argv);
   const std::string listen = cli.get("listen", "tcp:127.0.0.1:0");
   const std::string endpoint_file = cli.get("endpoint-file", "");
-  const std::string ladder_spec = cli.get("ladder", "4M,2M");
-  const auto input = cli.get_int("input", 32);
+  const std::vector<std::string> paths = split_list(cli.get("xmodel", ""));
   const int workers = static_cast<int>(cli.get_int("workers", 2));
   const auto capacity =
       static_cast<std::size_t>(cli.get_int("queue-capacity", 32));
@@ -80,15 +104,11 @@ int main(int argc, char** argv) try {
   cfg.board.rung_offset = static_cast<int>(cli.get_int("rung-offset", 0));
   cfg.board.online_reprice = cli.get_bool("online-reprice", false);
 
-  std::fprintf(stderr, "[boardd] building ladder:");
-  for (const auto& name : split_ladder(ladder_spec)) {
-    std::fprintf(stderr, " %s", name.c_str());
-    std::fflush(stderr);
-    cfg.board.ladder.push_back(
-        {name, core::build_timing_xmodel(name, dpu::DpuArch::b4096(), input),
-         workers});
+  for (const std::string& path : paths) {
+    dpu::XModel model;
+    if (!load_verified(path, model)) return serve::net::kModelRefusedExit;
+    cfg.board.ladder.push_back({model.name, std::move(model), workers});
   }
-  std::fprintf(stderr, " done\n");
 
   cfg.board.server.queue.capacity = capacity;
   cfg.board.server.batcher.max_batch_size = 4;

@@ -287,6 +287,7 @@ std::vector<std::uint8_t> WireHello::encode() const {
     w.f64(r.seconds_per_frame);
     w.f64(r.watts);
     w.f64(r.joules_per_frame);
+    w.u32(r.digest);
   }
   return w.take();
 }
@@ -308,6 +309,7 @@ WireHello WireHello::decode(const std::vector<std::uint8_t>& payload) {
     rung.seconds_per_frame = r.f64();
     rung.watts = r.f64();
     rung.joules_per_frame = r.f64();
+    rung.digest = r.u32();
   }
   r.expect_end();
   return h;

@@ -15,7 +15,7 @@
 //
 //   offset  size  field
 //        0     4  magic        0x52574E53 ("SNWR")
-//        4     1  version      kWireVersion (2)
+//        4     1  version      kWireVersion (3)
 //        5     1  type         FrameType
 //        6     2  reserved     must be zero
 //        8     4  payload_len  <= kMaxPayload
@@ -45,7 +45,7 @@ class FrameError : public std::runtime_error {
 };
 
 constexpr std::uint32_t kMagic = 0x52574E53u;  // "SNWR" in LE byte order
-constexpr std::uint8_t kWireVersion = 2;
+constexpr std::uint8_t kWireVersion = 3;
 constexpr std::size_t kHeaderSize = 16;
 /// Hard ceiling on a declared payload length: decoders reject anything
 /// larger before allocating, so a corrupt length field cannot OOM the
@@ -149,7 +149,8 @@ class WireReader {
 // --------------------------------------------------------------- payloads
 
 /// Sent by boardd immediately after accepting a connection: everything the
-/// router needs to construct the board's routing view.
+/// router needs to construct the board's routing view, and which model bytes
+/// each rung serves.
 struct WireHello {
   std::string name;
   std::int32_t rung_offset = 0;
@@ -159,6 +160,7 @@ struct WireHello {
     double seconds_per_frame = 0.0;
     double watts = 0.0;
     double joules_per_frame = 0.0;
+    std::uint32_t digest = 0;  // CRC32 of the rung's serialized XModel
   };
   std::vector<Rung> rungs;  // construction-time DES-priced cost table
 

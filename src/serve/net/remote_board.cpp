@@ -42,6 +42,7 @@ RemoteBoard::RemoteBoard(int id, const Endpoint& endpoint,
   for (const auto& r : hs.hello.rungs) {
     hello_costs_.push_back(
         {r.model, r.seconds_per_frame, r.watts, r.joules_per_frame});
+    model_digests_.push_back(r.digest);
   }
   {
     // The staleness clock starts at connect: a worker that never answers a

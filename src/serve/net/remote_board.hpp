@@ -81,6 +81,10 @@ class RemoteBoard : public cluster::Board {
 
   // ---- transport extras ----
   const Endpoint& endpoint() const { return endpoint_; }
+  /// Per rung, the CRC32 of the model bytes the worker's hello named.
+  const std::vector<std::uint32_t>& model_digests() const {
+    return model_digests_;
+  }
   bool dead() const { return dead_.load(std::memory_order_acquire); }
   /// Synchronous probe: sends one heartbeat and waits for its telemetry.
   /// Returns false on timeout or dead transport. Gives tests and benches a
@@ -116,6 +120,7 @@ class RemoteBoard : public cluster::Board {
   const RemoteBoardConfig cfg_;
   const Endpoint endpoint_;
   std::vector<RungCost> hello_costs_;  // construction-time DES table
+  std::vector<std::uint32_t> model_digests_;
   std::size_t queue_capacity_ = 0;
   int rung_offset_ = 0;
 

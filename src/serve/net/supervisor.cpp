@@ -5,25 +5,34 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <utility>
 
+#include "core/workflow.hpp"
+#include "serve/net/boardd.hpp"
+#include "util/io.hpp"
+
 namespace seneca::serve::net {
 
 namespace {
+
+std::atomic<unsigned> g_supervisors{0};  // names each Supervisor's files
 
 double ms_since(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
 }
 
-/// waitpid(WNOHANG) with EINTR retry. Returns true once the child is reaped.
-bool try_reap(pid_t pid) {
+/// waitpid(WNOHANG) with EINTR retry. Returns true once the child is
+/// reaped, with its wait status in `*status` when given (0 if another
+/// waiter reaped it).
+bool try_reap(pid_t pid, int* status = nullptr) {
   while (true) {
-    const pid_t r = ::waitpid(pid, nullptr, WNOHANG);
+    const pid_t r = ::waitpid(pid, status, WNOHANG);
     if (r == pid) return true;
     if (r == 0) return false;
     if (r < 0 && errno == EINTR) continue;
@@ -46,44 +55,67 @@ void reap_with_grace(pid_t pid, double grace_ms) {
   }
 }
 
-std::string join_ladder(const std::vector<std::string>& ladder) {
-  std::string out;
-  for (const auto& m : ladder) {
-    if (!out.empty()) out += ',';
-    out += m;
-  }
-  return out;
-}
-
 }  // namespace
 
 Supervisor::Supervisor(SupervisorConfig cfg, cluster::ClusterRouter& router)
-    : cfg_(std::move(cfg)), router_(router) {}
+    : cfg_(std::move(cfg)), router_(router) {
+  std::ostringstream os;
+  os << cfg_.work_dir << "/seneca-boardd-" << ::getpid() << "-"
+     << g_supervisors.fetch_add(1, std::memory_order_relaxed);
+  file_prefix_ = os.str();
+}
 
-Supervisor::~Supervisor() { stop(); }
+Supervisor::~Supervisor() {
+  stop();
+  util::LockGuard lock(models_mutex_);
+  for (const auto& entry : models_) std::remove(entry.second.path.c_str());
+}
 
 std::string Supervisor::endpoint_file_for(const Worker& w) const {
-  std::ostringstream os;
-  os << cfg_.work_dir << "/seneca-boardd-" << ::getpid() << "-s" << w.slot
-     << "-g" << w.generation << ".ep";
-  return os.str();
+  return file_prefix_ + "-s" + std::to_string(w.slot) + "-g" +
+         std::to_string(w.generation) + ".ep";
+}
+
+std::vector<Supervisor::ModelFile> Supervisor::models_for(
+    const WorkerSpec& spec) {
+  util::LockGuard lock(models_mutex_);
+  std::vector<ModelFile> files;
+  for (const std::string& rung : spec.ladder) {
+    auto it = models_.find({rung, spec.input});
+    if (it == models_.end()) {
+      const std::vector<std::uint8_t> bytes =
+          core::build_timing_xmodel(rung, dpu::DpuArch::b4096(), spec.input)
+              .serialize();
+      ModelFile file;
+      file.path = file_prefix_ + "-" + rung + "-" +
+                  std::to_string(spec.input) + ".xmodel";
+      file.digest = crc32(bytes.data(), bytes.size());
+      util::write_file(file.path, bytes.data(), bytes.size());
+      it = models_.emplace(std::make_pair(rung, spec.input), file).first;
+    }
+    files.push_back(it->second);
+  }
+  return files;
 }
 
 pid_t Supervisor::exec_boardd(const Worker& w, const std::string& listen_spec,
                               const std::string& endpoint_file) const {
+  std::string xmodels;
+  for (const ModelFile& m : w.models) {
+    if (!xmodels.empty()) xmodels += ',';
+    xmodels += m.path;
+  }
   std::vector<std::string> argv_s = {
       cfg_.boardd_path,
       "--listen",         listen_spec,
       "--endpoint-file",  endpoint_file,
-      "--ladder",         join_ladder(w.spec.ladder),
-      "--input",          std::to_string(w.spec.input),
+      "--xmodel",         xmodels,
       "--workers",        std::to_string(w.spec.workers),
       "--queue-capacity", std::to_string(w.spec.queue_capacity),
       "--rung-offset",    std::to_string(w.spec.rung_offset),
       "--name",           w.spec.name,
   };
   if (w.spec.online_reprice) argv_s.push_back("--online-reprice");
-  for (const auto& a : w.spec.extra_args) argv_s.push_back(a);
 
   std::vector<char*> argv;
   argv.reserve(argv_s.size() + 1);
@@ -112,10 +144,8 @@ void Supervisor::spawn_locked(Worker& w) {
   if (cfg_.transport == Endpoint::Kind::kTcp) {
     listen_spec = "tcp:127.0.0.1:0";  // ephemeral; worker reports the port
   } else {
-    std::ostringstream os;
-    os << "unix:" << cfg_.work_dir << "/seneca-boardd-" << ::getpid() << "-s"
-       << w.slot << "-g" << w.generation << ".sock";
-    listen_spec = os.str();
+    listen_spec = "unix:" + file_prefix_ + "-s" + std::to_string(w.slot) +
+                  "-g" + std::to_string(w.generation) + ".sock";
   }
 
   const pid_t pid = exec_boardd(w, listen_spec, ep_file);
@@ -126,11 +156,16 @@ void Supervisor::spawn_locked(Worker& w) {
   const Clock::time_point start = Clock::now();
   bool got_endpoint = false;
   while (ms_since(start) < cfg_.spawn_timeout_ms) {
-    if (try_reap(pid)) {
+    int status = 0;
+    if (try_reap(pid, &status)) {
       std::remove(ep_file.c_str());
+      const std::string who =
+          "boardd worker (slot " + std::to_string(w.slot) + ")";
+      if (WIFEXITED(status) && WEXITSTATUS(status) == kModelRefusedExit) {
+        throw WorkerRefused(who + " refused its .xmodel files at load");
+      }
       throw NetError(NetError::Kind::kSystem,
-                     "boardd worker (slot " + std::to_string(w.slot) +
-                         ") exited before publishing its endpoint");
+                     who + " exited before publishing its endpoint");
     }
     std::ifstream in(ep_file);
     if (in) {
@@ -161,6 +196,15 @@ void Supervisor::spawn_locked(Worker& w) {
     reap_with_grace(pid, 100.0);
     throw;
   }
+  std::vector<std::uint32_t> expected;
+  for (const ModelFile& m : w.models) expected.push_back(m.digest);
+  if (board->model_digests() != expected) {
+    board->shutdown();
+    reap_with_grace(pid, 100.0);
+    throw WorkerRefused("boardd worker (slot " + std::to_string(w.slot) +
+                        ") serves model bytes other than the .xmodel files "
+                        "its supervisor wrote");
+  }
 
   w.pid = pid;
   w.board = std::move(board);
@@ -168,10 +212,12 @@ void Supervisor::spawn_locked(Worker& w) {
 }
 
 int Supervisor::add_worker(WorkerSpec spec) {
+  std::vector<ModelFile> models = models_for(spec);
   util::LockGuard lock(workers_mutex_);
   auto w = std::make_unique<Worker>();
   w->slot = next_slot_++;
   w->spec = std::move(spec);
+  w->models = std::move(models);
   if (w->spec.name.empty()) w->spec.name = "worker" + std::to_string(w->slot);
   spawn_locked(*w);
   const int slot = w->slot;
@@ -256,7 +302,11 @@ void Supervisor::monitor_loop() {
             ++w.restarts;
             ++restarts_;
             w.backoff_ms = 0.0;
-          } catch (const NetError&) {
+          } catch (const WorkerRefused&) {
+            // The same files would be refused again: give the slot up.
+            w.want_alive = false;
+            w.refused = true;
+          } catch (const std::exception&) {
             w.backoff_ms =
                 std::min(std::max(w.backoff_ms * 2.0,
                                   cfg_.restart_backoff_initial_ms),
@@ -301,6 +351,7 @@ Supervisor::Stats Supervisor::stats() const {
   s.restarts = restarts_;
   for (const auto& w : workers_) {
     if (w->board && !w->board->dead()) ++s.alive;
+    if (w->refused) ++s.refused;
   }
   return s;
 }

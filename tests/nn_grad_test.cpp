@@ -59,7 +59,7 @@ struct LayerProbe {
     std::vector<TensorF*> grad_ptrs;
     for (auto* in : inputs) grads.emplace_back(in->shape(), 0.f);
     for (auto& g : grads) grad_ptrs.push_back(&g);
-    for (Param* p : layer.params()) p->grad.fill(0.f);
+    for (Param* p : layer.params()) p->grad().fill(0.f);
     layer.backward(inputs, out, coeffs, grad_ptrs);
     return grads;
   }
@@ -114,7 +114,7 @@ void check_param_gradient(Layer& layer, std::vector<TensorF> inputs,
     for (int probe_i = 0; probe_i < 3; ++probe_i) {
       const std::int64_t idx = static_cast<std::int64_t>(
           pick.uniform_index(static_cast<std::uint64_t>(p->value.numel())));
-      const double ana = p->grad[idx];
+      const double ana = p->grad()[idx];
       const float orig = p->value[idx];
       p->value[idx] = orig + h;
       const double lp = probe.objective(true);
@@ -245,7 +245,7 @@ TEST(Grad, WholeUNetThroughLoss) {
     if (p->name == "bias") continue;  // absorbed by the following BN
     if (p->value.numel() < 8) continue;
     const std::int64_t idx = p->value.numel() / 3;
-    const double ana = p->grad[idx];
+    const double ana = p->grad()[idx];
     if (std::fabs(ana) < 2e-3) continue;
     const float orig = p->value[idx];
     p->value[idx] = orig + h;

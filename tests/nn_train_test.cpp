@@ -38,8 +38,8 @@ TEST(Sgd, StepMovesAgainstGradient) {
   Param p("w", Shape{2});
   p.value[0] = 1.f;
   p.value[1] = -1.f;
-  p.grad[0] = 0.5f;
-  p.grad[1] = -0.25f;
+  p.grad()[0] = 0.5f;
+  p.grad()[1] = -0.25f;
   Sgd opt(0.1f);
   opt.step({&p});
   EXPECT_FLOAT_EQ(p.value[0], 1.f - 0.05f);
@@ -48,7 +48,7 @@ TEST(Sgd, StepMovesAgainstGradient) {
 
 TEST(Sgd, MomentumAccumulates) {
   Param p("w", Shape{1});
-  p.grad[0] = 1.f;
+  p.grad()[0] = 1.f;
   Sgd opt(0.1f, 0.9f);
   opt.step({&p});
   const float after_one = p.value[0];
@@ -58,7 +58,7 @@ TEST(Sgd, MomentumAccumulates) {
 
 TEST(Adam, FirstStepIsLearningRateSized) {
   Param p("w", Shape{1});
-  p.grad[0] = 0.01f;
+  p.grad()[0] = 0.01f;
   Adam opt(0.001f);
   opt.step({&p});
   // bias-corrected first Adam step == -lr * sign(g) (approximately)
@@ -71,7 +71,7 @@ TEST(Adam, ConvergesOnQuadratic) {
   p.value[0] = 0.f;
   Adam opt(0.05f);
   for (int i = 0; i < 500; ++i) {
-    p.grad[0] = 2.f * (p.value[0] - 3.f);
+    p.grad()[0] = 2.f * (p.value[0] - 3.f);
     opt.step({&p});
   }
   EXPECT_NEAR(p.value[0], 3.f, 0.05f);

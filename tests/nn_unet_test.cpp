@@ -114,6 +114,26 @@ TEST(UNet2D, ParameterCountIndependentOfInputSize) {
   EXPECT_EQ(a->num_parameters(), b->num_parameters());
 }
 
+TEST(UNet2D, HoldsNoGradientStorageUntilZeroGrad) {
+  // Inference, folding and quantization read only the values; a gradient
+  // buffer per parameter appears when training first touches it.
+  UNet2DConfig cfg;
+  cfg.input_size = 16;
+  cfg.depth = 2;
+  cfg.base_filters = 4;
+  auto g = build_unet2d(cfg);
+  g->forward(TensorF(Shape{16, 16, 1}, 0.1f));
+  ASSERT_FALSE(g->params().empty());
+  for (Param* p : g->params()) EXPECT_FALSE(p->has_grad()) << p->name;
+
+  g->zero_grad();
+  for (Param* p : g->params()) {
+    ASSERT_TRUE(p->has_grad()) << p->name;
+    EXPECT_EQ(p->grad().shape(), p->value.shape()) << p->name;
+    EXPECT_EQ(tensor::max_abs(p->grad()), 0.f) << p->name;
+  }
+}
+
 TEST(UNet2D, SaveLoadRoundTripIncludesRunningStats) {
   UNet2DConfig cfg;
   cfg.input_size = 16;

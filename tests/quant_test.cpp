@@ -2,7 +2,9 @@
 // PTQ accuracy bounds, FFQ improvement, QAT mechanics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "nn/layers_common.hpp"
 #include "nn/unet.hpp"
@@ -89,6 +91,62 @@ TEST(FixPoint, RshiftRoundHalfAwayFromZero) {
   EXPECT_EQ(rshift_round(4, 1), 2);
   EXPECT_EQ(rshift_round(-4, 1), -2);
   EXPECT_EQ(rshift_round(7, 2), 2);    // 1.75 -> 2
+}
+
+TEST(FixPoint, RoundSaturateMatchesLlround) {
+  const auto expect_same = [](double v) {
+    EXPECT_EQ(round_saturate_i8(v), saturate_i8(std::llround(v))) << v;
+  };
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  for (const double v :
+       {0.0, -0.0, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 126.5, -126.5, 127.5,
+        -127.5, 128.5, -128.5, 129.5, -129.5, std::nextafter(0.5, 0.0),
+        std::nextafter(-0.5, 0.0), std::nextafter(0.5, 1.0),
+        std::nextafter(127.5, 0.0), std::nextafter(-128.5, 0.0),
+        std::ldexp(1.0, 52), -std::ldexp(1.0, 52), std::ldexp(1.0, 62),
+        -std::ldexp(1.0, 62), denorm, -denorm, 1e-310, -1e-310}) {
+    expect_same(v);
+  }
+  util::Rng rng(21);
+  for (int i = 0; i < 20000; ++i) {
+    expect_same(rng.uniform(-300.0, 300.0));
+    // Exact ties, and float weights scaled by a power of two as the
+    // quantizer scales them.
+    const auto k = static_cast<double>(rng.uniform_index(601)) - 300.0;
+    expect_same(k + 0.5);
+    const auto w = static_cast<float>(rng.uniform(-2.0, 2.0));
+    const auto fp = static_cast<int>(rng.uniform_index(12));
+    expect_same(static_cast<double>(w) * std::ldexp(1.0, fp));
+  }
+}
+
+TEST(RangeAnalysis, ConvAccIntervalIsTheWorstChannelSum) {
+  // Per channel: bias plus, for every tap, the product interval widened to
+  // include 0; then the worst channel.
+  util::Rng rng(4);
+  const std::int64_t taps = 27, co = 5;
+  std::vector<std::int8_t> w(static_cast<std::size_t>(taps * co));
+  for (auto& v : w) {
+    v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_index(256)) - 128);
+  }
+  const std::vector<std::int32_t> bias = {-300, 7, 0, 1200, -5};
+  for (const Interval in :
+       {Interval{-128, 127}, Interval{0, 127}, Interval{-3, -1}}) {
+    std::int64_t lo = 0, hi = 0;
+    for (std::int64_t o = 0; o < co; ++o) {
+      std::int64_t l = bias[static_cast<std::size_t>(o)], h = l;
+      for (std::int64_t t = 0; t < taps; ++t) {
+        const std::int64_t wv = w[static_cast<std::size_t>(t * co + o)];
+        l += std::min({wv * in.lo, wv * in.hi, std::int64_t{0}});
+        h += std::max({wv * in.lo, wv * in.hi, std::int64_t{0}});
+      }
+      lo = o == 0 ? l : std::min(lo, l);
+      hi = o == 0 ? h : std::max(hi, h);
+    }
+    const Interval got = conv_acc_interval(w.data(), taps, co, bias.data(), in);
+    EXPECT_EQ(got.lo, lo);
+    EXPECT_EQ(got.hi, hi);
+  }
 }
 
 TEST(FixPoint, RshiftNegativeShiftIsLeftShift) {

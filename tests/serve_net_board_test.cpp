@@ -354,8 +354,8 @@ TEST(RemoteBoardTest, TelemetryLevelOutsideRungTableFaultsTheBoard) {
     WireHello hello;
     hello.name = "liar";
     hello.queue_capacity = 4;
-    hello.rungs.push_back({"4M", 0.01, 9.0, 0.09});
-    hello.rungs.push_back({"2M", 0.005, 8.0, 0.04});
+    hello.rungs.push_back({"4M", 0.01, 9.0, 0.09, 1u});
+    hello.rungs.push_back({"2M", 0.005, 8.0, 0.04, 2u});
     FakeWorker worker(hello, level);
     RemoteBoard board(0, worker.endpoint(), fast_remote());
     EXPECT_FALSE(board.refresh(2000.0)) << "level " << level;

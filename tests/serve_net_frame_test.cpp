@@ -53,8 +53,8 @@ TEST(WireHeader, RejectsBadVersion) {
   FrameHeader h;
   std::uint8_t buf[kHeaderSize];
   encode_header(h, buf);
-  // A newer peer, and an older one (version 1 telemetry carried a byte
-  // version 2 dropped, so its frames would misparse).
+  // A newer peer, and an older one (a version 2 hello names no model
+  // digest, so its frames would misparse).
   for (const int version : {kWireVersion + 1, kWireVersion - 1}) {
     buf[4] = static_cast<std::uint8_t>(version);
     EXPECT_THROW(decode_header(buf), FrameError) << "version " << version;
@@ -139,8 +139,8 @@ TEST(WirePayload, HelloRoundTrip) {
   h.name = "zcu104-a";
   h.rung_offset = 2;
   h.queue_capacity = 48;
-  h.rungs.push_back({"8M", 0.033, 9.5, 0.31});
-  h.rungs.push_back({"2M", 0.009, 8.0, 0.07});
+  h.rungs.push_back({"8M", 0.033, 9.5, 0.31, 0xDEADBEEFu});
+  h.rungs.push_back({"2M", 0.009, 8.0, 0.07, 7u});
   const WireHello d = WireHello::decode(h.encode());
   EXPECT_EQ(d.name, "zcu104-a");
   EXPECT_EQ(d.rung_offset, 2);
@@ -149,6 +149,8 @@ TEST(WirePayload, HelloRoundTrip) {
   EXPECT_EQ(d.rungs[1].model, "2M");
   EXPECT_DOUBLE_EQ(d.rungs[0].seconds_per_frame, 0.033);
   EXPECT_DOUBLE_EQ(d.rungs[1].watts, 8.0);
+  EXPECT_EQ(d.rungs[0].digest, 0xDEADBEEFu);
+  EXPECT_EQ(d.rungs[1].digest, 7u);
 }
 
 TEST(WirePayload, RequestRoundTripPreservesTensor) {
@@ -300,7 +302,7 @@ TEST(WireFuzz, SeededMutationSweepNeverCrashes) {
   {
     WireHello h;
     h.name = "b";
-    h.rungs.push_back({"4M", 0.01, 9.0, 0.09});
+    h.rungs.push_back({"4M", 0.01, 9.0, 0.09, 1u});
     corpus.push_back(encode_frame(FrameType::kHello, h.encode()));
     WireRequest r;
     r.input = make_tensor(4, 4, 1);
