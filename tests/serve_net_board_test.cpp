@@ -162,13 +162,15 @@ TEST(RemoteBoardTest, TelemetryBacksBoardProbes) {
   RemoteBoard board(0, fx.endpoint(), fast_remote());
   (void)board.submit(serve::Priority::kBatch, make_input(32), 0.0).get();
   ASSERT_TRUE(board.refresh(2000.0));
+  // Asked right after the probe: fault_injected() also reads stale
+  // telemetry as a fault.
+  EXPECT_FALSE(board.fault_injected());
   EXPECT_GE(board.frames_served(), 1u);
   EXPECT_GT(board.energy_joules(), 0.0);
   EXPECT_GT(board.busy_seconds(), 0.0);
   const serve::MetricsSnapshot m = board.metrics();
   EXPECT_GE(m.submitted, 1u);
   EXPECT_GE(m.served, 1u);
-  EXPECT_FALSE(board.fault_injected());
   board.shutdown();
 }
 
@@ -200,11 +202,13 @@ TEST(RemoteBoardTest, WrongShapedFrameIsRejectedAndWorkerSurvives) {
   const serve::Response good =
       board.submit(serve::Priority::kInteractive, make_input(32), 0.0).get();
   EXPECT_EQ(good.status, serve::Status::kOk);
+  // fault_injected() also reads stale telemetry as a fault, so probe right
+  // before asking.
+  ASSERT_TRUE(board.refresh(2000.0));
   EXPECT_FALSE(board.dead());
   EXPECT_FALSE(board.fault_injected());
   // The same worker answered both: a restarted one would have lost the
   // rejection from its counters.
-  ASSERT_TRUE(board.refresh(2000.0));
   const serve::MetricsSnapshot m = board.metrics();
   EXPECT_EQ(m.rejected, 1u);
   EXPECT_EQ(m.errors, 0u);
@@ -231,6 +235,11 @@ TEST(RemoteBoardTest, DaemonStopFailsPendingWithError) {
                 r.status == serve::Status::kMigrated)
         << to_string(r.status);
   }
+  // The hangup reaches the board's reader thread asynchronously: if every
+  // request was answered before the socket closed, no future waited for it.
+  // A dead worker cannot answer a probe, and the probe returns once the
+  // write fails or the reader has seen the hangup.
+  EXPECT_FALSE(board.refresh(2000.0));
   EXPECT_TRUE(board.dead());
   EXPECT_TRUE(board.fault_injected()) << "dead board must read as faulted";
   // Submits after death fail fast instead of hanging.

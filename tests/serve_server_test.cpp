@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -75,6 +76,47 @@ ServerConfig fast_config() {
   cfg.degrade.queue_depth_high = 1000;  // degradation off unless enabled
   return cfg;
 }
+
+/// Parks the scheduler inside its first dispatch on `runner` (through the
+/// runner's run hook) until release() or destruction. Requests submitted
+/// meanwhile queue up behind a dispatch that is provably in progress, so a
+/// flood test does not depend on one inference outlasting the submissions:
+/// on a loaded host the scheduler could finish it and pick from a half-built
+/// queue.
+class FirstDispatchGate {
+ public:
+  explicit FirstDispatchGate(runtime::VartRunner& runner)
+      : state_(std::make_shared<State>()),
+        entered_(state_->entered.get_future()) {
+    runner.set_run_fault_hook([s = state_](std::size_t) {
+      if (!s->armed.exchange(false)) return;
+      s->entered.set_value();
+      s->opened.wait();
+    });
+  }
+  ~FirstDispatchGate() { release(); }
+
+  /// True once the scheduler is parked in the gated dispatch.
+  bool wait_entered() {
+    return entered_.wait_for(std::chrono::seconds(30)) ==
+           std::future_status::ready;
+  }
+  void release() {
+    if (!released_) state_->open.set_value();
+    released_ = true;
+  }
+
+ private:
+  struct State {
+    std::atomic<bool> armed{true};
+    std::promise<void> entered;
+    std::promise<void> open;
+    std::shared_future<void> opened = open.get_future().share();
+  };
+  std::shared_ptr<State> state_;  // shared with the hook, which may outlive us
+  std::future<void> entered_;
+  bool released_ = false;
+};
 
 TEST(ServeMetrics, HistogramPercentilesTrackRecordedDistribution) {
   LatencyHistogram h;
@@ -207,15 +249,16 @@ TEST(InferenceServer, ServesBitExactAgainstReferenceSim) {
 }
 
 TEST(InferenceServer, InteractiveServedBeforeBatchUnderContention) {
-  // 32x32 model: one inference takes ~milliseconds, so the plug request
-  // keeps the scheduler busy while the later submissions (microseconds)
-  // land in the queue.
+  // The plug request holds the scheduler in its dispatch while the later
+  // submissions land in the queue, batch lane first.
   const dpu::XModel model = build_model(32, 2, 4, 5);
   std::vector<ModelSpec> ladder;
   ladder.push_back({"1M", model, 1});
   InferenceServer server(std::move(ladder), fast_config());
+  FirstDispatchGate gate(server.runner(0));
 
   auto plug = server.submit(Priority::kInteractive, random_input(32, 1));
+  ASSERT_TRUE(gate.wait_entered());
   std::vector<std::future<Response>> batch_futures;
   std::vector<std::future<Response>> interactive_futures;
   for (int i = 0; i < 4; ++i) {
@@ -226,6 +269,7 @@ TEST(InferenceServer, InteractiveServedBeforeBatchUnderContention) {
     interactive_futures.push_back(server.submit(
         Priority::kInteractive, random_input(32, 20 + static_cast<std::uint64_t>(i))));
   }
+  gate.release();
   ASSERT_EQ(plug.get().status, Status::kOk);
   std::uint64_t max_interactive_seq = 0;
   for (auto& f : interactive_futures) {
@@ -258,6 +302,9 @@ TEST(InferenceServer, DegradesToSmallerModelUnderOverloadBitExactly) {
   ladder.push_back({"4M", big, 1});
   ladder.push_back({"1M", small, 1});
   InferenceServer server(std::move(ladder), cfg);
+  // The flood lands while the first request is in dispatch, so the next
+  // dispatch sees all of it queued.
+  FirstDispatchGate gate(server.runner(0));
 
   constexpr int kRequests = 16;
   std::vector<TensorI8> inputs;
@@ -265,7 +312,11 @@ TEST(InferenceServer, DegradesToSmallerModelUnderOverloadBitExactly) {
   for (int i = 0; i < kRequests; ++i) {
     inputs.push_back(random_input(16, 300 + static_cast<std::uint64_t>(i)));
     futures.push_back(server.submit(Priority::kInteractive, inputs.back()));
+    if (i == 0) {
+      ASSERT_TRUE(gate.wait_entered());
+    }
   }
+  gate.release();
 
   int degraded_count = 0;
   for (int i = 0; i < kRequests; ++i) {
@@ -299,13 +350,20 @@ TEST(InferenceServer, RejectsBeyondQueueCapacity) {
   std::vector<ModelSpec> ladder;
   ladder.push_back({"1M", model, 1});
   InferenceServer server(std::move(ladder), cfg);
+  // The submissions land while the first request is in dispatch, so the
+  // queue cannot drain between them.
+  FirstDispatchGate gate(server.runner(0));
 
   constexpr int kRequests = 50;
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < kRequests; ++i) {
     futures.push_back(server.submit(Priority::kBatch,
                                     random_input(16, static_cast<std::uint64_t>(i))));
+    if (i == 0) {
+      ASSERT_TRUE(gate.wait_entered());
+    }
   }
+  gate.release();
   int ok = 0;
   int rejected = 0;
   for (auto& f : futures) {
