@@ -98,8 +98,8 @@ WorkflowArtifacts Workflow::run() {
 quant::QGraph build_timing_qgraph(const std::string& model_name,
                                   std::int64_t input_size) {
   const ZooEntry& entry = zoo_entry(model_name);
-  auto graph = nn::build_unet2d(unet_config(entry, input_size));
-  quant::FGraph folded = quant::fold(*graph);
+  quant::FGraph folded =
+      quant::fold(nn::build_unet2d(unet_config(entry, input_size)));
   // One synthetic calibration image suffices: fix positions do not affect
   // the timing model.
   std::vector<tensor::TensorF> calib;

@@ -72,7 +72,8 @@ class Workflow {
 
 /// Builds + quantizes an *untrained* model of the given zoo name — the
 /// QGraph fed to the compiler, for benches that compile the same graph at
-/// several optimization levels (bench/compiler_passes).
+/// several optimization levels (bench/compiler_passes). The fold consumes
+/// the FP32 graph, so its weights are held once, never twice.
 quant::QGraph build_timing_qgraph(const std::string& model_name,
                                   std::int64_t input_size = 256);
 

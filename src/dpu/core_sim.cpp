@@ -12,42 +12,29 @@ DpuCoreSim::DpuCoreSim(const XModel* model) : model_(model) {
   consts_.resize(model_->layers.size());
   for (std::size_t i = 0; i < model_->layers.size(); ++i) {
     const XLayer& layer = model_->layers[i];
+    if (layer.weight_count == 0) continue;  // pool, concat: no payload
+    const std::int8_t* blob = model_->weights.data() + layer.weight_offset;
+    if (layer.kind == XLayer::Kind::kConst) {
+      // The folded feature map rides in the weights blob, unpadded HWC.
+      consts_[i] = TensorI8(layer.out_shape);
+      std::copy(blob, blob + layer.weight_count, consts_[i].data());
+      continue;
+    }
+    // A conv or tconv: the kernels read its [K][K][Cin][Cout] weights in
+    // place in the blob, and only its biases are copied.
     quant::QOp& op = payloads_[i];
+    op.kind = layer.kind == XLayer::Kind::kConv ? quant::QOpKind::kConv2D
+                                                : quant::QOpKind::kTConv2D;
     op.name = layer.name;
     op.out_shape = layer.out_shape;
     op.fix_pos_out = layer.fix_pos_out;
     op.fix_pos_w = layer.fix_pos_w;
     op.kernel = layer.kernel;
     op.relu = layer.relu;
-    if (layer.kind == XLayer::Kind::kConst) {
-      // The folded feature map rides in the weights blob, unpadded HWC.
-      consts_[i] = TensorI8(layer.out_shape);
-      std::copy(model_->weights.begin() + layer.weight_offset,
-                model_->weights.begin() + layer.weight_offset + layer.weight_count,
-                consts_[i].data());
-      continue;
-    }
-    switch (layer.kind) {
-      case XLayer::Kind::kConv: op.kind = quant::QOpKind::kConv2D; break;
-      case XLayer::Kind::kTConv: op.kind = quant::QOpKind::kTConv2D; break;
-      case XLayer::Kind::kPool: op.kind = quant::QOpKind::kMaxPool2D; break;
-      case XLayer::Kind::kConcat: op.kind = quant::QOpKind::kConcat; break;
-      case XLayer::Kind::kConst: break;  // handled above
-    }
-    if (layer.weight_count > 0) {
-      // Reconstruct the weight tensor from the blob: [K][K][Cin][Cout].
-      const std::int64_t co = layer.out_shape[2];
-      const std::int64_t ci =
-          layer.weight_count / (layer.kernel * layer.kernel * co);
-      op.weights = tensor::TensorI8(
-          tensor::Shape{layer.kernel, layer.kernel, ci, co});
-      std::copy(model_->weights.begin() + layer.weight_offset,
-                model_->weights.begin() + layer.weight_offset + layer.weight_count,
-                op.weights.data());
-      op.bias.assign(model_->biases.begin() + layer.bias_offset,
-                     model_->biases.begin() + layer.bias_offset + layer.bias_count);
-      packs_[i] = quant::kernels::pack_weights(op);
-    }
+    op.borrowed_weights = {blob, static_cast<std::size_t>(layer.weight_count)};
+    const auto bias = model_->biases.begin() + layer.bias_offset;
+    op.bias.assign(bias, bias + layer.bias_count);
+    packs_[i] = quant::kernels::pack_weights(op);
   }
 }
 

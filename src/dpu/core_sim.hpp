@@ -25,9 +25,10 @@ struct RunResult {
 
 class DpuCoreSim {
  public:
-  /// The xmodel must outlive the simulator. Construction decodes every
-  /// layer's weights and packs each conv/tconv layer's for the SIMD
-  /// kernels (quant::kernels::pack_weights), once: run packs nothing.
+  /// The xmodel must outlive the simulator, weights blob unchanged: the
+  /// kernels read the weights in place there. Construction packs each
+  /// conv/tconv layer's weights for the SIMD kernels
+  /// (quant::kernels::pack_weights), once: run packs nothing.
   explicit DpuCoreSim(const XModel* model);
 
   const XModel& model() const { return *model_; }
@@ -44,13 +45,14 @@ class DpuCoreSim {
 
  private:
   const XModel* model_;
-  // Per-layer weight/bias views materialized once at construction.
+  // Per-layer payloads decoded once at construction. Their weights borrow
+  // the xmodel's blob, where the reference kernels, NEON and the debug
+  // interval check read them; only the biases are copied.
   std::vector<quant::QOp> payloads_;
-  // Per conv/tconv layer, payloads_' weights in the SIMD kernel's operand
-  // layout. The xmodel's weights never change, and the packs are read-only
-  // after construction, so every thread running this simulator shares them.
-  // The x86 quad format's packs take about the int8 weights' size again
-  // (8.7 MB on 16M at 64x64), the pair format's twice that.
+  // Per conv/tconv layer, the blob's weights in the x86 SIMD operand
+  // layout (empty wherever x86 SIMD does not run), read-only and shared by
+  // every thread running this simulator: about the int8 weights' size
+  // again as quads (8.8 MB on 16M at 64x64), twice that as pairs.
   std::vector<quant::kernels::PackedWeights> packs_;
   // Folded feature maps of kConst layers, rebuilt from the weights blob.
   std::vector<TensorI8> consts_;

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/layers2d.hpp"
 #include "nn/layers_common.hpp"
 
 namespace seneca::quant {
@@ -142,44 +141,46 @@ TensorF FGraph::forward(const TensorF& input,
   return result;
 }
 
-FGraph fold(nn::Graph& graph) {
+namespace {
+
+/// The one fold loop. With `take`, each conv/tconv weight and bias moves
+/// out of the graph into its FOp instead of being copied, and batch norm
+/// then folds into that one image in place.
+FGraph fold_graph(nn::Graph& graph, bool take) {
   FGraph fg;
   // node id -> fop id producing that node's value (bn/relu/dropout/softmax
   // map to the id of the op they fold into).
   std::vector<int> fop_of(graph.num_nodes(), -1);
+  // Appends the FOp computing node `id`'s value.
+  auto emit = [&](std::size_t id, OpKind kind) -> FOp& {
+    const auto& node = graph.node(static_cast<int>(id));
+    FOp& op = fg.ops.emplace_back();
+    op.kind = kind;
+    op.name = node.name;
+    for (int in : node.inputs) {
+      op.inputs.push_back(fop_of[static_cast<std::size_t>(in)]);
+    }
+    op.out_shape = node.shape;
+    fop_of[id] = static_cast<int>(fg.ops.size()) - 1;
+    return op;
+  };
 
   for (std::size_t id = 0; id < graph.num_nodes(); ++id) {
     auto& node = graph.node(static_cast<int>(id));
     if (!node.layer) {  // input placeholder
-      FOp op;
-      op.kind = OpKind::kInput;
-      op.name = node.name;
-      op.out_shape = node.shape;
-      fg.ops.push_back(std::move(op));
-      fg.input_op = static_cast<int>(fg.ops.size()) - 1;
-      fop_of[id] = fg.input_op;
+      emit(id, OpKind::kInput);
+      fg.input_op = fop_of[id];
       continue;
     }
     const std::string type = node.layer->type();
     if (type == "conv2d" || type == "tconv2d") {
-      FOp op;
-      op.kind = (type == "conv2d") ? OpKind::kConv2D : OpKind::kTConv2D;
-      op.name = node.name;
-      op.inputs = {fop_of[static_cast<std::size_t>(node.inputs[0])]};
-      op.out_shape = node.shape;
-      if (type == "conv2d") {
-        auto* conv = dynamic_cast<nn::Conv2D*>(node.layer.get());
-        op.weights = conv->weight().value;
-        op.bias = conv->bias().value;
-        op.kernel = conv->kernel();
-      } else {
-        auto* conv = dynamic_cast<nn::TransposedConv2D*>(node.layer.get());
-        op.weights = conv->weight().value;
-        op.bias = conv->bias().value;
-        op.kernel = conv->kernel();
-      }
-      fg.ops.push_back(std::move(op));
-      fop_of[id] = static_cast<int>(fg.ops.size()) - 1;
+      FOp& op =
+          emit(id, type == "conv2d" ? OpKind::kConv2D : OpKind::kTConv2D);
+      // Both conv layers' params are {weight [K][K][Cin][Cout], bias}.
+      const std::vector<nn::Param*> p = node.layer->params();
+      op.weights = take ? std::move(p[0]->value) : p[0]->value;
+      op.bias = take ? std::move(p[1]->value) : p[1]->value;
+      op.kernel = op.weights.shape()[0];
     } else if (type == "batchnorm") {
       // Fold y = gamma*(x-mean)/sqrt(var+eps)+beta into the producing conv.
       const int src = fop_of[static_cast<std::size_t>(node.inputs[0])];
@@ -217,28 +218,23 @@ FGraph fold(nn::Graph& graph) {
     } else if (type == "dropout" || type == "softmax") {
       fop_of[id] = fop_of[static_cast<std::size_t>(node.inputs[0])];
     } else if (type == "maxpool2d") {
-      FOp op;
-      op.kind = OpKind::kMaxPool2D;
-      op.name = node.name;
-      op.inputs = {fop_of[static_cast<std::size_t>(node.inputs[0])]};
-      op.out_shape = node.shape;
-      fg.ops.push_back(std::move(op));
-      fop_of[id] = static_cast<int>(fg.ops.size()) - 1;
+      emit(id, OpKind::kMaxPool2D);
     } else if (type == "concat") {
-      FOp op;
-      op.kind = OpKind::kConcat;
-      op.name = node.name;
-      op.inputs = {fop_of[static_cast<std::size_t>(node.inputs[0])],
-                   fop_of[static_cast<std::size_t>(node.inputs[1])]};
-      op.out_shape = node.shape;
-      fg.ops.push_back(std::move(op));
-      fop_of[id] = static_cast<int>(fg.ops.size()) - 1;
+      emit(id, OpKind::kConcat);
     } else {
       throw std::invalid_argument("fold: unsupported layer type " + type);
     }
   }
   fg.output_op = fop_of[static_cast<std::size_t>(graph.output_id())];
   return fg;
+}
+
+}  // namespace
+
+FGraph fold(nn::Graph& graph) { return fold_graph(graph, false); }
+
+FGraph fold(std::unique_ptr<nn::Graph> graph) {
+  return fold_graph(*graph, true);
 }
 
 }  // namespace seneca::quant

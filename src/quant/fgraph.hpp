@@ -9,6 +9,7 @@
 // the host applies softmax/argmax, mirroring the VART deployment).
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,8 +54,14 @@ struct FGraph {
 
 /// Folds a trained graph into the inference IR. The graph must follow the
 /// SENECA U-Net op vocabulary (conv/bn/relu/pool/dropout/tconv/concat/
-/// softmax); anything else throws std::invalid_argument.
+/// softmax); anything else throws std::invalid_argument. This form copies
+/// every weight, so the graph stays usable as an FP32 model.
 FGraph fold(nn::Graph& graph);
+
+/// The same fold, consuming the graph: each conv/tconv weight and bias
+/// moves into its FOp and batch norm folds into it in place, so the
+/// weights exist once in FP32, not twice. Same result as fold(*graph).
+FGraph fold(std::unique_ptr<nn::Graph> graph);
 
 // Standalone float kernels shared by fold()'s executor (and tests).
 void conv2d_forward(const TensorF& x, const TensorF& w, const TensorF& b,

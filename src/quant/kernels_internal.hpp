@@ -38,6 +38,7 @@ void tconv_scatter(const TensorI8& x, const QOp& op, std::int32_t* acc,
   const std::int64_t k = op.kernel;
   const std::int64_t co = op.out_shape[2];
   const std::int64_t oh = h * 2, ow = w * 2;
+  const std::int8_t* weights = op.weight_view().data();
 
   for (std::int64_t iy = 0; iy < h; ++iy) {
     for (std::int64_t ix = 0; ix < w; ++ix) {
@@ -49,7 +50,7 @@ void tconv_scatter(const TensorI8& x, const QOp& op, std::int32_t* acc,
           const std::int64_t ox = 2 * ix - 1 + kx;
           if (ox < 0 || ox >= ow) continue;
           std::int32_t* pa = acc + (oy * ow + ox) * co;
-          const std::int8_t* pw = op.weights.data() + ((ky * k + kx) * ci) * co;
+          const std::int8_t* pw = weights + ((ky * k + kx) * ci) * co;
           body(pa, px, pw, ci, co);
         }
       }

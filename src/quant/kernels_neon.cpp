@@ -40,7 +40,7 @@ void conv2d_neon(const TensorI8& x, const QOp& op, TensorI8& out,
   const std::int64_t pad = k / 2;
   const int shift = fix_pos_in + op.fix_pos_w - op.fix_pos_out;
   const std::int8_t* X = x.data();
-  const std::int8_t* W = op.weights.data();
+  const std::int8_t* W = op.weight_view().data();
   const std::int32_t* B = op.bias.data();
   const std::int64_t co8 = co & ~std::int64_t{7};
 

@@ -159,7 +159,10 @@ PackLayout layout_of(std::int64_t ci, const QOp& op) {
 template <typename F>
 PackedWeights pack(const QOp& op) {
   constexpr int kG = F::kGroup;
-  const PackLayout l = layout_of<F>(op.weights.shape()[2], op);
+  const std::span<const std::int8_t> w = op.weight_view();
+  const std::int64_t ci = static_cast<std::int64_t>(w.size()) /
+                          (op.kernel * op.kernel * op.out_shape[2]);
+  const PackLayout l = layout_of<F>(ci, op);
   PackedWeights pw;
   pw.operands.resize(static_cast<std::size_t>(l.operands_size()));
   pw.sums.resize(static_cast<std::size_t>(l.sums_size()));
@@ -172,7 +175,7 @@ PackedWeights pack(const QOp& op) {
     for (std::int64_t g = 0; g < l.ng; ++g) {
       const std::int64_t n = std::min<std::int64_t>(kG, l.ci - kG * g);
       const std::int8_t* wr =
-          op.weights.data() + (t * l.ci + kG * g) * l.co;  // row c = kG g
+          w.data() + (t * l.ci + kG * g) * l.co;  // row c = kG g
       for (std::int64_t o = 0; o < l.co; ++o) {
         std::int8_t v[kG] = {};
         for (std::int64_t i = 0; i < n; ++i) v[i] = wr[i * l.co + o];

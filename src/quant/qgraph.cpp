@@ -61,6 +61,7 @@ void qconv2d_forward(const TensorI8& x, const QOp& op, TensorI8& out,
   const std::int64_t co = op.out_shape[2];
   const std::int64_t pad = k / 2;
   const int shift = fix_pos_in + op.fix_pos_w - op.fix_pos_out;
+  const std::int8_t* weights = op.weight_view().data();
   std::vector<std::int64_t> acc(static_cast<std::size_t>(co));
 
   for (std::int64_t oy = 0; oy < h; ++oy) {
@@ -73,7 +74,7 @@ void qconv2d_forward(const TensorI8& x, const QOp& op, TensorI8& out,
           const std::int64_t ix = ox + kx - pad;
           if (ix < 0 || ix >= w) continue;
           const std::int8_t* px = x.data() + (iy * w + ix) * ci;
-          const std::int8_t* pw = op.weights.data() + ((ky * k + kx) * ci) * co;
+          const std::int8_t* pw = weights + ((ky * k + kx) * ci) * co;
           for (std::int64_t c = 0; c < ci; ++c) {
             const std::int32_t xv = px[c];
             if (xv == 0) continue;
@@ -103,6 +104,7 @@ void qtconv2d_forward(const TensorI8& x, const QOp& op, TensorI8& out,
   const std::int64_t co = op.out_shape[2];
   const std::int64_t oh = h * 2, ow = w * 2;
   const int shift = fix_pos_in + op.fix_pos_w - op.fix_pos_out;
+  const std::int8_t* weights = op.weight_view().data();
 
   std::vector<std::int64_t> acc(static_cast<std::size_t>(oh * ow * co));
   for (std::int64_t i = 0; i < oh * ow; ++i) {
@@ -120,7 +122,7 @@ void qtconv2d_forward(const TensorI8& x, const QOp& op, TensorI8& out,
           const std::int64_t ox = 2 * ix - 1 + kx;
           if (ox < 0 || ox >= ow) continue;
           std::int64_t* pa = acc.data() + (oy * ow + ox) * co;
-          const std::int8_t* pw = op.weights.data() + ((ky * k + kx) * ci) * co;
+          const std::int8_t* pw = weights + ((ky * k + kx) * ci) * co;
           for (std::int64_t c = 0; c < ci; ++c) {
             const std::int32_t xv = px[c];
             if (xv == 0) continue;
@@ -260,8 +262,8 @@ Interval conv_acc_interval(const std::int8_t* weights, std::int64_t taps,
 
 Interval conv_acc_interval(const QOp& op, std::int64_t ci, Interval in) {
   const std::int64_t co = op.out_shape[2];
-  return conv_acc_interval(op.weights.data(), op.kernel * op.kernel * ci, co,
-                           op.bias.data(), in);
+  return conv_acc_interval(op.weight_view().data(),
+                           op.kernel * op.kernel * ci, co, op.bias.data(), in);
 }
 
 Interval requant_out_interval(Interval acc, int shift, bool relu) {

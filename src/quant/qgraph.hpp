@@ -10,7 +10,9 @@
 //   pool:  int8 max, fix_pos unchanged
 //   concat: inputs requantized to the op's fix_pos
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,12 +42,20 @@ struct QOp {
   Shape out_shape;
   int fix_pos_out = 0;  // output quantization position
 
-  // Conv payload.
+  // Conv payload. An op that owns no `weights` reads `borrowed_weights`,
+  // as DpuCoreSim's ops read their XModel's blob.
   TensorI8 weights;               // [K][K][Cin][Cout]
+  std::span<const std::int8_t> borrowed_weights;  // same layout
   std::vector<std::int32_t> bias; // [Cout], at scale 2^-(fp_in+fp_w)
   int fix_pos_w = 0;
   std::int64_t kernel = 0;
   bool relu = false;
+
+  /// The weights every kernel reads.
+  std::span<const std::int8_t> weight_view() const {
+    if (weights.empty()) return borrowed_weights;
+    return {weights.data(), static_cast<std::size_t>(weights.numel())};
+  }
 
   // Statically-proven output activation interval (annotate_intervals):
   // every int8 value this op can emit lies in [act_lo, act_hi]. The default
@@ -94,12 +104,24 @@ inline std::int8_t saturate_i8(std::int64_t v) {
 /// rounding); NaN clamps to -128. The tie rule is the runtime's
 /// rshift_round's, so calibration and execution agree on every
 /// representable tie.
+///
+/// No step branches on v. On x86-64 the clamp is maxsd then minsd, exactly
+/// the two selects of the portable form, NaN included: as selects, GCC
+/// branches, and quantization_mse's loop ran up to 3.5x slower in some link
+/// layouts. In asm, since GCC 12 folds _mm_max_sd(NaN, c) to NaN.
 inline std::int8_t round_saturate_i8(double v) {
+#if defined(__SSE2__) && defined(__GNUC__)
+  __asm__("maxsd {%1, %0|%0, %1}\n\tminsd {%2, %0|%0, %2}"
+          : "+x"(v)
+          : "x"(-128.5), "x"(127.5));
+#else
   v = v > -128.5 ? v : -128.5;
   v = v < 127.5 ? v : 127.5;
+#endif
   const auto t = static_cast<std::int32_t>(v);
   const double frac = v - static_cast<double>(t);
-  return saturate_i8(t + (frac >= 0.5) - (frac <= -0.5));
+  return static_cast<std::int8_t>(
+      std::clamp(t + (frac >= 0.5) - (frac <= -0.5), -128, 127));
 }
 
 /// Round-half-away-from-zero right shift (shift may be <= 0: left shift).

@@ -38,15 +38,24 @@ std::uint64_t get_le64(const std::uint8_t* p) {
          (static_cast<std::uint64_t>(get_le32(p + 4)) << 32);
 }
 
-struct Crc32Table {
-  std::array<std::uint32_t, 256> t{};
-  Crc32Table() {
+// Slicing-by-8 tables: t[0] is the bytewise table, and t[k][b] is the CRC
+// register's contribution of byte b followed by k zero bytes, so one step
+// folds eight input bytes into the register with eight independent lookups.
+struct Crc32Tables {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  Crc32Tables() {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < t.size(); ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        const std::uint32_t c = t[k - 1][i];
+        t[k][i] = t[0][c & 0xFFu] ^ (c >> 8);
+      }
     }
   }
 };
@@ -77,11 +86,18 @@ bool known_frame_type(std::uint8_t raw) {
 }
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
-  static const Crc32Table table;
+  static const Crc32Tables tables;
+  const auto& t = tables.t;
   std::uint32_t c = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = table.t[(c ^ data[i]) & 0xFFu] ^ (c >> 8);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const std::uint32_t lo = c ^ get_le32(data + i);
+    const std::uint32_t hi = get_le32(data + i + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; i < n; ++i) c = t[0][(c ^ data[i]) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

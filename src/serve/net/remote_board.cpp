@@ -164,7 +164,7 @@ void RemoteBoard::heartbeat_loop() {
   }
 }
 
-void RemoteBoard::on_response(const WireResponse& wr) {
+void RemoteBoard::on_response(WireResponse wr) {
   PendingRemote pending;
   {
     util::LockGuard lock(pending_mutex_);
@@ -182,8 +182,8 @@ void RemoteBoard::on_response(const WireResponse& wr) {
   resp.served_seq = wr.served_seq;
   resp.queue_ms = wr.queue_ms;
   resp.service_ms = wr.service_ms;
-  resp.model_used = wr.model_used;
-  if (wr.has_output) resp.output = wr.output;
+  resp.model_used = std::move(wr.model_used);
+  if (wr.has_output) resp.output = std::move(wr.output);
   // Client-visible total includes the wire: measured here, not on the
   // worker (the worker's own total_ms rides in wr.total_ms if anyone wants
   // the board-local view).

@@ -109,7 +109,7 @@ class RemoteBoard : public cluster::Board {
 
   void reader_loop();
   void heartbeat_loop();
-  void on_response(const WireResponse& wr);
+  void on_response(WireResponse wr);
   void on_telemetry(WireTelemetry wt);
   /// Marks dead and fails every pending request with kError. Idempotent.
   void mark_dead(const std::string& why);

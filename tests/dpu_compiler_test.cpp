@@ -2,8 +2,11 @@
 // policy, instruction streams, xmodel structure + serialization.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 
+#include "core/model_zoo.hpp"
+#include "core/workflow.hpp"
 #include "dpu/compiler.hpp"
 #include "nn/unet.hpp"
 #include "quant/quantizer.hpp"
@@ -36,6 +39,60 @@ quant::QGraph tiny_qgraph(std::uint64_t seed = 5, std::int64_t size = 16) {
   for (auto& v : img) v = static_cast<float>(rng.uniform(-1, 1));
   calib.push_back(img);
   return quant::quantize(fg, calib);
+}
+
+::testing::AssertionResult same_floats(const TensorF& a, const TensorF& b) {
+  if (a.shape() != b.shape()) {
+    return ::testing::AssertionFailure() << "shape mismatch";
+  }
+  if (a.numel() > 0 &&
+      std::memcmp(a.data(), b.data(),
+                  static_cast<std::size_t>(a.numel()) * sizeof(float)) != 0) {
+    return ::testing::AssertionFailure() << "values differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(TimingBuild, ConsumingFoldMatchesCopyingFoldOnEveryRung) {
+  // build_timing_qgraph folds with the consuming fold, which moves each
+  // weight out of the graph instead of copying it. Folded, quantized and
+  // compiled as build_timing_xmodel does (its calibration ramp below), the
+  // copying fold must give the same FGraph and the same xmodel bytes.
+  constexpr std::int64_t kInput = 32;
+  std::vector<TensorF> calib(1, TensorF(Shape{kInput, kInput, 1}));
+  for (std::int64_t i = 0; i < calib[0].numel(); ++i) {
+    calib[0][i] = -1.f + 2.f * static_cast<float>(i % 97) / 96.f;
+  }
+  for (const core::ZooEntry& entry : core::model_zoo()) {
+    const nn::UNet2DConfig cfg = core::unet_config(entry, kInput);
+    auto kept = nn::build_unet2d(cfg);
+    const quant::FGraph copied = quant::fold(*kept);
+    const quant::FGraph moved = quant::fold(nn::build_unet2d(cfg));
+    ASSERT_EQ(copied.ops.size(), moved.ops.size()) << entry.name;
+    EXPECT_EQ(copied.input_op, moved.input_op);
+    EXPECT_EQ(copied.output_op, moved.output_op);
+    for (std::size_t i = 0; i < copied.ops.size(); ++i) {
+      const quant::FOp& a = copied.ops[i];
+      const quant::FOp& b = moved.ops[i];
+      EXPECT_EQ(a.name, b.name);
+      EXPECT_EQ(a.kind, b.kind) << a.name;
+      EXPECT_EQ(a.inputs, b.inputs) << a.name;
+      EXPECT_EQ(a.relu, b.relu) << a.name;
+      EXPECT_EQ(a.kernel, b.kernel) << a.name;
+      EXPECT_EQ(a.out_shape, b.out_shape) << a.name;
+      EXPECT_TRUE(same_floats(a.weights, b.weights))
+          << entry.name << " " << a.name;
+      EXPECT_TRUE(same_floats(a.bias, b.bias)) << entry.name << " " << a.name;
+    }
+    CompileOptions copts;
+    copts.model_name = entry.name;
+    const std::vector<std::uint8_t> want =
+        compile(quant::quantize(copied, calib), copts).serialize();
+    EXPECT_EQ(core::build_timing_xmodel(entry.name, DpuArch::b4096(), kInput)
+                  .serialize(),
+              want)
+        << entry.name;
+  }
 }
 
 TEST(TimingModel, ConvCyclesFormula) {

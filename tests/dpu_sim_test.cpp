@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <limits>
+#include <string>
 
 #include "dpu/compiler.hpp"
 #include "dpu/core_sim.hpp"
@@ -133,6 +135,104 @@ TEST(CoreSim, DeterministicAcrossRuns) {
   const TensorI8 input = random_input(16, 9);
   EXPECT_EQ(tensor::max_abs_diff(core.run(input).output,
                                  core.run(input).output), 0.0);
+}
+
+/// Pins a kernel backend for one scope, then restores kAuto.
+struct BackendGuard {
+  explicit BackendGuard(quant::kernels::Backend b) {
+    quant::kernels::set_backend(b);
+  }
+  ~BackendGuard() {
+    quant::kernels::set_backend(quant::kernels::Backend::kAuto);
+  }
+  BackendGuard(const BackendGuard&) = delete;
+  BackendGuard& operator=(const BackendGuard&) = delete;
+};
+
+TEST(CoreSim, ScalarBackendMatchesQGraphReference) {
+  // With kScalar pinned, every conv and tconv runs the reference kernels,
+  // which read the weights in place in the xmodel's blob.
+  const Built b = build(23, 32, 3, 4);
+  const DpuCoreSim core(&b.xmodel);
+  const BackendGuard scalar(quant::kernels::Backend::kScalar);
+  for (std::uint64_t trial = 0; trial < 2; ++trial) {
+    const TensorI8 input = random_input(32, 700 + trial);
+    EXPECT_EQ(tensor::max_abs_diff(core.run(input).output,
+                                   b.qgraph.forward(input)),
+              0.0)
+        << "trial " << trial;
+  }
+}
+
+quant::QOp random_conv(const std::string& name, int input, std::int64_t ci,
+                       std::int64_t co, Shape out_shape, std::int8_t w_max,
+                       std::uint64_t seed) {
+  quant::QOp op;
+  op.kind = quant::QOpKind::kConv2D;
+  op.name = name;
+  op.inputs = {input};
+  op.out_shape = out_shape;
+  op.kernel = 3;
+  op.weights = TensorI8(Shape{3, 3, ci, co});
+  util::Rng rng(seed);
+  for (auto& w : op.weights) {
+    w = static_cast<std::int8_t>(rng.uniform_int(-w_max, w_max));
+  }
+  op.bias.resize(static_cast<std::size_t>(co));
+  for (auto& v : op.bias) {
+    v = static_cast<std::int32_t>(rng.uniform_int(-3000, 3000));
+  }
+  return op;
+}
+
+TEST(CoreSim, Int64FallbackLayerMatchesQGraphReference) {
+  // conv_a's bias sits 1e6 below INT32_MAX: its accumulators still fit
+  // int32 (the weights are small), so the model compiles and verifies,
+  // but the coarse bound acc32_safe does not hold, and the layer runs the
+  // int64 reference on every backend, reading the blob in place. conv_b
+  // runs on the active backend from conv_a's output.
+  constexpr std::int64_t kSize = 8, kCi = 16, kMid = 8;
+  quant::QGraph g;
+  quant::QOp in;
+  in.kind = quant::QOpKind::kInput;
+  in.name = "input";
+  in.out_shape = Shape{kSize, kSize, kCi};
+  g.ops.push_back(in);
+  g.ops.push_back(
+      random_conv("conv_a", 0, kCi, kMid, Shape{kSize, kSize, kMid}, 3, 41));
+  g.ops[1].bias[3] = std::numeric_limits<std::int32_t>::max() - 1000000;
+  g.ops[1].fix_pos_w = 6;
+  g.ops[1].fix_pos_out = 3;
+  g.ops[1].relu = true;
+  g.ops.push_back(
+      random_conv("conv_b", 1, kMid, 6, Shape{kSize, kSize, 6}, 60, 42));
+  g.ops[2].fix_pos_w = 5;
+  g.ops[2].fix_pos_out = 4;
+  g.input_op = 0;
+  g.output_op = 2;
+  g.input_fix_pos = 4;
+  g.input_shape = in.out_shape;
+  quant::annotate_intervals(g);
+  ASSERT_FALSE(quant::kernels::acc32_safe(g.ops[1], kCi));
+  ASSERT_TRUE(quant::kernels::acc32_safe(g.ops[2], kMid));
+
+  const XModel xm = compile(g);
+  const DpuCoreSim core(&xm);
+  for (const auto backend :
+       {quant::kernels::Backend::kAuto, quant::kernels::Backend::kScalar}) {
+    const BackendGuard pinned(backend);
+    for (std::uint64_t trial = 0; trial < 2; ++trial) {
+      util::Rng rng(900 + trial);
+      TensorI8 input(g.input_shape);
+      for (auto& v : input) {
+        v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
+      }
+      EXPECT_EQ(tensor::max_abs_diff(core.run(input).output,
+                                     g.forward(input)),
+                0.0)
+          << quant::kernels::backend_name(backend) << " trial " << trial;
+    }
+  }
 }
 
 TEST(CoreSim, OutputShapeIsLogitMaps) {

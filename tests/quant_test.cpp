@@ -107,6 +107,11 @@ TEST(FixPoint, RoundSaturateMatchesLlround) {
         -std::ldexp(1.0, 62), denorm, -denorm, 1e-310, -1e-310}) {
     expect_same(v);
   }
+  // Outside llround's domain: NaN clamps to the low end, infinities to
+  // their own.
+  EXPECT_EQ(round_saturate_i8(std::numeric_limits<double>::quiet_NaN()), -128);
+  EXPECT_EQ(round_saturate_i8(std::numeric_limits<double>::infinity()), 127);
+  EXPECT_EQ(round_saturate_i8(-std::numeric_limits<double>::infinity()), -128);
   util::Rng rng(21);
   for (int i = 0; i < 20000; ++i) {
     expect_same(rng.uniform(-300.0, 300.0));

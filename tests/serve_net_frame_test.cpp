@@ -132,6 +132,38 @@ TEST(WireFrame, Crc32KnownVector) {
   EXPECT_EQ(crc32(nullptr, 0), 0u);
 }
 
+/// One bit at a time, straight from the polynomial: shares no table or
+/// step with crc32's eight-byte loop.
+std::uint32_t crc32_bitwise(const std::uint8_t* data, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(WireFrame, Crc32MatchesBitwiseAtEveryLengthAndAlignment) {
+  // Lengths 0-300 cover every remainder past the eight-byte steps, and
+  // offsets 0-7 every start alignment of those steps.
+  std::vector<std::uint8_t> buf(308);
+  util::Rng rng(23);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t n = 0; n <= 300; ++n) {
+      ASSERT_EQ(crc32(buf.data() + off, n), crc32_bitwise(buf.data() + off, n))
+          << "offset " << off << " length " << n;
+    }
+  }
+  std::vector<std::uint8_t> big(std::size_t{1} << 20);
+  util::Rng big_rng(29);
+  for (auto& b : big) {
+    b = static_cast<std::uint8_t>(big_rng.uniform_int(0, 255));
+  }
+  EXPECT_EQ(crc32(big.data(), big.size()),
+            crc32_bitwise(big.data(), big.size()));
+}
+
 // --------------------------------------------------------------- payloads
 
 TEST(WirePayload, HelloRoundTrip) {
