@@ -16,7 +16,8 @@
 // VartRunner workers run in production. Every backend's output is compared
 // bit-for-bit against the scalar quant::QGraph reference on a deterministic
 // pseudo-random input. The header and every JSON row name the SIMD path
-// that ran: avx-vnni (the x86 quad format), avx2 (the pair format) or neon.
+// that ran: avx512-vnni or avx-vnni (the x86 quad format on 512- or 256-bit
+// vectors), avx2 (the pair format) or neon.
 //
 //   ./int8_kernels [--input 128] [--min-time 0.4] [--max-frames 60]
 //                  [--min-speedup 4] [--json int8_kernels.json] [--strict]
@@ -118,7 +119,7 @@ std::vector<MicroResult> run_micro(double min_seconds) {
   bott.weights = seeded_input(Shape{3, 3, 512, 512}, 23);
   bott.bias.assign(512, 321);
 
-  // The narrow layers, whose output channels all lie in the AVX2 tail: 4M's
+  // The narrow layers, whose output channels all lie in the x86 tail: 4M's
   // dec0_a at 32x32 input and the 6-class head.
   QOp dec0a = conv;
   dec0a.out_shape = Shape{32, 32, 8};

@@ -7,7 +7,7 @@
 
 #include "quant/kernels_internal.hpp"
 
-#if defined(SENECA_KERNELS_AVXVNNI)
+#if defined(SENECA_KERNELS_AVXVNNI) || defined(SENECA_KERNELS_AVX512VNNI)
 #include <cpuid.h>
 #endif
 
@@ -34,6 +34,33 @@ bool simd_available() {
 }
 
 #if defined(SENECA_KERNELS_AVX2)
+bool avx512vnni_available() {
+#if defined(SENECA_KERNELS_AVX512VNNI)
+  // CPUID.(EAX=7, ECX=0): EBX[16] AVX512F, EBX[30] AVX512BW, EBX[31]
+  // AVX512VL, ECX[11] AVX512-VNNI. The OS must also save the opmask and the
+  // full zmm state: OSXSAVE (CPUID.1:ECX[27]), then XCR0 bits 1-2 (xmm,
+  // ymm) and 5-7 (opmask, zmm0-15 upper halves, zmm16-31).
+  static const bool ok = [] {
+    unsigned a = 0, b = 0, c = 0, d = 0;
+    if (!simd_available() || !__get_cpuid_count(7, 0, &a, &b, &c, &d)) {
+      return false;
+    }
+    constexpr unsigned kEbx = (1u << 16) | (1u << 30) | (1u << 31);
+    if ((b & kEbx) != kEbx || ((c >> 11) & 1u) == 0) return false;
+    if (!__get_cpuid(1, &a, &b, &c, &d) || ((c >> 27) & 1u) == 0) {
+      return false;
+    }
+    unsigned xcr0 = 0, xcr0_hi = 0;
+    __asm__("xgetbv" : "=a"(xcr0), "=d"(xcr0_hi) : "c"(0));
+    constexpr unsigned kState = 0xE6;
+    return (xcr0 & kState) == kState;
+  }();
+  return ok;
+#else
+  return false;
+#endif
+}
+
 bool avxvnni_available() {
 #if defined(SENECA_KERNELS_AVXVNNI)
   // CPUID.(EAX=7, ECX=1):EAX[4], read directly: not every compiler's
@@ -69,6 +96,7 @@ const char* backend_name(Backend b) {
     case Backend::kScalar: return "scalar";
     case Backend::kSimd:
 #if defined(SENECA_KERNELS_AVX2)
+      if (avx512vnni_available()) return "avx512-vnni";
       return avxvnni_available() ? "avx-vnni" : "avx2";
 #elif defined(SENECA_KERNELS_NEON)
       return "neon";
@@ -110,8 +138,10 @@ bool shift32_safe(const QOp& op, std::int64_t ci, int shift) {
 }
 
 #if defined(SENECA_KERNELS_AVX2)
-/// The x86 operand format this CPU runs: int8 quads on AVX-VNNI, else
-/// int16 pairs. A pack is only ever read by the format that built it.
+/// The x86 path this CPU runs: int8 quads on 512-bit vectors where it has
+/// AVX512-VNNI, else on 256-bit vectors where it has AVX-VNNI, else int16
+/// pairs. A pack is only ever read by the format that built it; both quad
+/// widths build the same pack.
 struct X86Format {
   PackedWeights (*pack)(const QOp&);
   void (*conv)(const TensorI8&, const QOp&, const PackedWeights&, TensorI8&,
@@ -120,15 +150,24 @@ struct X86Format {
                 TensorI8&, int, tensor::TensorArena*);
 };
 
+/// Chosen once per process.
 const X86Format& x86_format() {
-#if defined(SENECA_KERNELS_AVXVNNI)
-  static constexpr X86Format kQuads{pack_weights_avxvnni, conv2d_avxvnni,
-                                    tconv2d_avxvnni};
-  if (avxvnni_available()) return kQuads;
+  static const X86Format& chosen = []() -> const X86Format& {
+#if defined(SENECA_KERNELS_AVX512VNNI)
+    static constexpr X86Format kZmmQuads{
+        pack_weights_avx512vnni, conv2d_avx512vnni, tconv2d_avx512vnni};
+    if (avx512vnni_available()) return kZmmQuads;
 #endif
-  static constexpr X86Format kPairs{pack_weights_avx2, conv2d_avx2,
-                                    tconv2d_avx2};
-  return kPairs;
+#if defined(SENECA_KERNELS_AVXVNNI)
+    static constexpr X86Format kQuads{pack_weights_avxvnni, conv2d_avxvnni,
+                                      tconv2d_avxvnni};
+    if (avxvnni_available()) return kQuads;
+#endif
+    static constexpr X86Format kPairs{pack_weights_avx2, conv2d_avx2,
+                                      tconv2d_avx2};
+    return kPairs;
+  }();
+  return chosen;
 }
 #endif
 

@@ -10,10 +10,12 @@
 //  - kScalar:  the int64-accumulator reference in qgraph.cpp.
 //  - kSimd:    x86-64 (cpuid-checked at runtime) or NEON (aarch64)
 //              intrinsics over contiguous output channels ([K][K][Cin][Cout]
-//              weight layout). On x86 the conv and tconv run one of two
-//              operand formats, whichever the CPU supports: int8 quads
-//              through AVX-VNNI's vpdpbusd (4 input channels per lane),
-//              else int16 pairs through AVX2's vpmaddwd (2 per lane).
+//              weight layout). On x86 the conv and tconv run one of three
+//              paths, the widest the CPU supports: int8 quads through
+//              vpdpbusd (4 input channels per lane) on 512-bit vectors
+//              (AVX512-VNNI) or on 256-bit vectors (AVX-VNNI), which read
+//              the same pack, else int16 pairs through AVX2's vpmaddwd (2
+//              per lane).
 // A call that does not run SIMD runs the reference; where no SIMD backend
 // is built, that is every call.
 //
@@ -54,11 +56,12 @@ Backend active_backend();
 /// per kernel call.
 void set_backend(Backend b);
 
-/// kSimd names the path that runs: "avx-vnni", "avx2" or "neon".
+/// kSimd names the path that runs: "avx512-vnni", "avx-vnni", "avx2" or
+/// "neon".
 const char* backend_name(Backend b);
 
-/// Allocates on a 64-byte boundary, so no 32-byte operand vector of a pack
-/// straddles two cache lines.
+/// Allocates on a 64-byte boundary, so no 32- or 64-byte operand vector of
+/// a pack straddles two cache lines.
 template <typename T>
 struct CacheLineAllocator {
   using value_type = T;
@@ -79,11 +82,12 @@ struct CacheLineAllocator {
 };
 
 /// A conv/tconv layer's weights as the x86 kernel's operands, in the format
-/// this CPU runs. Every operand vector is 8 int32 lanes, one per output
-/// channel, in channel order; a lane holds the weights of 4 consecutive
-/// input channels as int8 (quads, AVX-VNNI) or of 2 as int16 (pairs, AVX2).
-/// `operands` holds the 16-wide output-channel blocks, then the channels
-/// past the last block. The quad format also keeps, per tap, 128 times each
+/// this CPU runs. Operands are int32 lanes, one per output channel, in
+/// channel order, 16 per block and tap and lane group; a lane holds the
+/// weights of 4 consecutive input channels as int8 (quads, read as 8-lane
+/// vectors with AVX-VNNI and as 16-lane ones with AVX512-VNNI) or of 2 as
+/// int16 (pairs, AVX2). `operands` holds the 16-wide output-channel blocks,
+/// then the channels past the last block. The quad format also keeps, per tap, 128 times each
 /// output channel's weight sum, then the whole-kernel total (`sums`): what
 /// the +128 offset that makes the input unsigned adds to an accumulator.
 /// Empty on NEON, whose loop reads the int8 weights, and wherever x86 SIMD

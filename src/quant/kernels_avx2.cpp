@@ -7,7 +7,7 @@
 // _mm256_madd_epi16 of a packed operand against the broadcast (x0, x1)
 // input pair yields 8 exact int8*int8 -> int32 dual-MACs, and a
 // _mm256_add_epi32 accumulates them. The tile walker (kernels_x86.hpp) is
-// the one the quad format runs; DESIGN.md §8 has the measured per-layer
+// the one both quad widths run; DESIGN.md §8 has the measured per-layer
 // table. Max-pool and the row requant live here too.
 
 #include "quant/kernels.hpp"
@@ -27,11 +27,13 @@ namespace seneca::quant::kernels {
 
 namespace {
 
-/// int16 pairs through vpmaddwd: the walker's format contract is in
-/// kernels_x86.hpp.
-struct PairFormat {
+/// int16 pairs through vpmaddwd on 256-bit vectors: the walker's format
+/// contract is in kernels_x86.hpp.
+struct PairFormat : Ymm {
   static constexpr int kGroup = 2;
   static constexpr bool kOffset = false;
+  template <int NB8>
+  using Tail = PairFormat;
 
   /// (v0, v1) sign-extended to int16, v0 in the low half.
   static std::int32_t lane(const std::int8_t (&v)[2]) {
@@ -40,8 +42,8 @@ struct PairFormat {
         static_cast<std::uint32_t>(static_cast<std::uint16_t>(v[1])) << 16);
   }
 
-  static __m256i mac(__m256i acc, __m256i w, __m256i x) {
-    return _mm256_add_epi32(acc, _mm256_madd_epi16(w, x));
+  static Vec mac(Vec acc, Vec w, Vec x) {
+    return acc + as_i32x8(_mm256_madd_epi16(as_m256i(w), as_m256i(x)));
   }
 
   /// Sign-extends the input into (x0, x1) int16 pairs, built once per call

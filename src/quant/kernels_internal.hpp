@@ -70,8 +70,8 @@ inline void tconv_acc_init(const QOp& op, std::int32_t* acc) {
 
 /// Accumulator plane from the arena when present, else call-local. Eight
 /// int32 of slack past the end keep full-width vector loads at the plane
-/// tail in bounds (the x86 small-co path reads 8 lanes and mask-stores the
-/// valid ones).
+/// tail in bounds (the 256-bit x86 small-co path reads 8 lanes and
+/// mask-stores the valid ones; the 512-bit path masks its loads too).
 inline std::int32_t* tconv_scratch(const QOp& op, tensor::TensorArena* arena,
                                    std::vector<std::int32_t>& local) {
   const std::int64_t n = op.out_shape.numel() + 8;
@@ -85,8 +85,13 @@ inline std::int32_t* tconv_scratch(const QOp& op, tensor::TensorArena* arena,
 namespace seneca::quant::kernels {
 
 #if defined(SENECA_KERNELS_AVX2)
-/// Whether this CPU runs the quad format: built in, and CPUID reports
-/// AVX-VNNI. Where it does not, the x86 conv and tconv run the pair format.
+/// Whether this CPU can run the 512-bit quads: built in, CPUID reports
+/// AVX512F/BW/VL and AVX512-VNNI, and XGETBV the opmask and zmm state
+/// enabled. The dispatcher prefers them to every other x86 path.
+bool avx512vnni_available();
+/// Whether this CPU can run the 256-bit quads: built in, and CPUID reports
+/// AVX-VNNI. The dispatcher takes them where the 512-bit quads cannot run,
+/// and the pair format where neither can.
 bool avxvnni_available();
 
 // The pair format (kernels_avx2.cpp): int16 pairs through vpmaddwd.
@@ -99,9 +104,21 @@ void maxpool2d_avx2(const TensorI8& x, TensorI8& out);
 void requant_row_avx2(const std::int8_t* src, std::int8_t* dst,
                       std::int64_t n, int shift);
 #endif
+#if defined(SENECA_KERNELS_AVX512VNNI)
+// The quad format on 512-bit vectors (kernels_avx512vnni.cpp). Its pack is
+// byte-identical to pack_weights_avxvnni's. Call only where
+// avx512vnni_available().
+PackedWeights pack_weights_avx512vnni(const QOp& op);
+void conv2d_avx512vnni(const TensorI8& x, const QOp& op,
+                       const PackedWeights& pw, TensorI8& out,
+                       int fix_pos_in);
+void tconv2d_avx512vnni(const TensorI8& x, const QOp& op,
+                        const PackedWeights& pw, TensorI8& out,
+                        int fix_pos_in, tensor::TensorArena* arena);
+#endif
 #if defined(SENECA_KERNELS_AVXVNNI)
-// The quad format (kernels_avxvnni.cpp): offset int8 quads through
-// vpdpbusd. Call only where avxvnni_available().
+// The quad format on 256-bit vectors (kernels_avxvnni.cpp): offset int8
+// quads through vpdpbusd. Call only where avxvnni_available().
 PackedWeights pack_weights_avxvnni(const QOp& op);
 void conv2d_avxvnni(const TensorI8& x, const QOp& op, const PackedWeights& pw,
                     TensorI8& out, int fix_pos_in);

@@ -1,13 +1,15 @@
 #pragma once
-// The x86 conv/tconv tile walker, which both x86 operand formats run: the
-// pair format (kernels_avx2.cpp, built with -mavx2) and the quad format
-// (kernels_avxvnni.cpp, built with -mavx2 -mavxvnni). Include it from those
-// two translation units only. Everything here has internal linkage (an
-// anonymous namespace), so each includer compiles its own copy with its own
-// flags: the linker can never resolve the AVX2 unit's call to a copy built
-// with -mavxvnni, which would fault on a CPU without AVX-VNNI.
+// The x86 conv/tconv tile walker, which every x86 path runs: the pair format
+// (kernels_avx2.cpp, built with -mavx2), the 256-bit quads
+// (kernels_avxvnni.cpp, -mavx2 -mavxvnni) and the 512-bit quads
+// (kernels_avx512vnni.cpp, -mavx512f -mavx512bw -mavx512vl -mavx512vnni).
+// Include it from those three translation units only. Everything here has
+// internal linkage (an anonymous namespace), so each includer compiles its
+// own copy with its own flags: the linker can never resolve the AVX2 unit's
+// call to a copy built with -mavxvnni or -mavx512f, which would fault on a
+// CPU without them.
 //
-// A format F is a type with:
+// A format F is a type with, on the pack side:
 //   kGroup          input channels per int32 lane: 2 (pairs) or 4 (quads);
 //   kOffset         whether F offsets the input by +128 to make it
 //                   unsigned; the pack's `sums` then take the offset's
@@ -16,19 +18,40 @@
 //   input_plane(x)  the input as lanes of kGroup channels, the last lane of
 //                   a pixel padded, plus one zero row (input 0) after the
 //                   last pixel;
+// and on the vector side (Ymm below, or the 512-bit unit's Zmm):
+//   Vec, kLanes     the vector type and its int32 lanes: 8 or 16;
+//   load, store, add, sub, zero, broadcast;
 //   mac(acc, w, x)  acc plus the lane-wise dot product of the weight lanes
-//                   w and the broadcast input lane x.
+//                   w and the broadcast input lane x;
+//   Mask, mask(n)   a tail vector's first n lanes;
+//   add_masked(p, v, m)  p[i] += v[i] on the lanes m names;
+//   requant16(v..., ...) 16 / kLanes vectors of 16 in-order accumulators,
+//                        requanted to 16 int8 bytes;
+//   requant_n(v, ..., m) one vector's lanes that m names, to bytes;
+//   Tail<NB8>       the format whose vectors run a tail of NB8 8-lane
+//                   groups: F itself, or a narrower one with F's pack side
+//                   where F's vectors would run half empty.
+// Both quad widths share one pack (QuadPack): a 16-wide block's lane group
+// is 16 int32 lanes in channel order on a cache line, which the 256-bit
+// quads read as two vectors and the 512-bit quads as one.
 //
-// The walker runs a tile of up to 4 pixels, as the DPU's array computes 8
-// pixels at once: each operand vector is loaded once per tile and feeds
-// every pixel's accumulators, each an independent chain. Each row is cut
-// into tiles of 4 pixels, then single pixels for the remainder. A conv tile
-// runs the union of its pixels' column taps (row taps are clipped per
-// output row), and a pixel whose tap falls off the map reads the zero row.
-// Bit-exactness vs the scalar reference holds because the final int32 sum
-// is exact (the dispatcher's headroom proof bounds it, and int32 addition
-// that wraps on the way is exact modulo 2^32) and the requant epilogue
-// computes the identical round-half-away-from-zero arithmetic.
+// The walker runs tiles of P pixels x B blocks, as the DPU's array computes
+// 8 pixels x 16 input x 16 output channels at once: each operand vector is
+// loaded once per tile and feeds every pixel's accumulators, each an
+// independent chain. Each call picks its tiles from the row width and the
+// block count, keeping 8 accumulators or fewer per tile. With 8 lanes per
+// vector a block is 2 vectors: tiles of 4 pixels x 1 block, then single
+// pixels. With 16 lanes a block is 1 vector: tiles of 4 pixels x 2 blocks,
+// or 8 pixels x 1 block where co has a single block, then single pixels x
+// 2 blocks at row ends; an odd last block runs alone. The channels past the
+// last block (the tail, co % 16 of them) run after the blocks, on the same
+// pixels, as 8 nb8 lanes of Tail<nb8>'s vectors, stored through masks. A
+// conv tile runs the union of its pixels' column taps (row taps are clipped
+// per output row), and a pixel whose tap falls off the map reads the zero
+// row. Bit-exactness vs the scalar reference holds because the final int32
+// sum is exact (the dispatcher's headroom proof bounds it, and int32
+// addition that wraps on the way is exact modulo 2^32) and the requant
+// epilogue computes the identical round-half-away-from-zero arithmetic.
 
 #include <immintrin.h>
 
@@ -47,6 +70,9 @@ namespace seneca::quant::kernels {
 namespace {
 
 using detail::rshift_round32;
+
+template <int N>
+using Int = std::integral_constant<int, N>;
 
 /// Requants 16 in-order int32 accumulators (v0 = channels 0..7, v1 =
 /// 8..15): round-half-away-from-zero shift, optional ReLU, saturate to
@@ -82,10 +108,9 @@ inline void requant_store16(__m256i v0, __m256i v1, int shift, bool relu,
                    _mm256_castsi256_si128(q));
 }
 
-/// Requants 8 in-order int32 accumulators and stores the first `nvalid`
-/// saturated int8 bytes (the small-co tail: nvalid in 1..8).
-inline void requant_store_n(__m256i v, int shift, bool relu, std::int8_t* dst,
-                            std::int64_t nvalid) {
+/// 8 int32 accumulators after the round-half-away-from-zero shift and the
+/// optional ReLU, before saturation.
+inline __m256i requant8(__m256i v, int shift, bool relu) {
   if (shift > 0) {
     const __m256i rbias = _mm256_set1_epi32(std::int32_t{1} << (shift - 1));
     const __m128i cnt = _mm_cvtsi32_si128(shift);
@@ -96,6 +121,14 @@ inline void requant_store_n(__m256i v, int shift, bool relu, std::int8_t* dst,
     v = _mm256_sll_epi32(v, _mm_cvtsi32_si128(-shift));
   }
   if (relu) v = _mm256_max_epi32(v, _mm256_setzero_si256());
+  return v;
+}
+
+/// Requants 8 in-order int32 accumulators and stores the first `nvalid`
+/// saturated int8 bytes (the small-co tail: nvalid in 1..8).
+inline void requant_store_n(__m256i v, int shift, bool relu, std::int8_t* dst,
+                            std::int64_t nvalid) {
+  v = requant8(v, shift, relu);
   const __m128i p16 = _mm_packs_epi32(_mm256_castsi256_si128(v),
                                       _mm256_extracti128_si256(v, 1));
   const __m128i p8 = _mm_packs_epi16(p16, p16);
@@ -104,7 +137,97 @@ inline void requant_store_n(__m256i v, int shift, bool relu, std::int8_t* dst,
   std::memcpy(dst, tmp, static_cast<std::size_t>(nvalid));
 }
 
-/// The shape of a layer's pack, shared by packing and both kernels so they
+/// 8 int32 lanes as a vector type of GCC and clang, which the walker keeps
+/// its accumulators in: the int32 multiply-add builtins take and return
+/// it. Kept as __m256i (4 int64), GCC 12 copied some loops' accumulators
+/// into a scratch register and back around every multiply-add (8 vmovdqa
+/// per lane group in the pair format's tconv).
+using I32x8 = std::int32_t __attribute__((vector_size(32)));
+inline __m256i as_m256i(I32x8 v) { return reinterpret_cast<__m256i>(v); }
+inline I32x8 as_i32x8(__m256i v) { return reinterpret_cast<I32x8>(v); }
+
+/// The vector side of the 256-bit formats (the pairs and the AVX-VNNI
+/// quads): 8 int32 lanes, so a 16-wide block is two vectors.
+struct Ymm {
+  using Vec = I32x8;
+  static constexpr int kLanes = 8;
+
+  /// A tail vector's valid lanes, as maskstore reads them and as a count.
+  struct Mask {
+    __m256i lanes;
+    std::int64_t n;
+  };
+  static Mask mask(std::int64_t n) {
+    return {_mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7)),
+            n};
+  }
+
+  static Vec load(const std::int32_t* p) {
+    return as_i32x8(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+  }
+  static void store(std::int32_t* p, Vec v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), as_m256i(v));
+  }
+  static Vec zero() { return Vec{}; }
+  static Vec broadcast(std::int32_t x) { return x + Vec{}; }
+  static Vec add(Vec a, Vec b) { return a + b; }
+  static Vec sub(Vec a, Vec b) { return a - b; }
+
+  /// Reads all 8 lanes: tconv_scratch pads the plane by 8 int32, so a tail
+  /// vector's read stays in bounds.
+  static void add_masked(std::int32_t* p, Vec v, const Mask& m) {
+    _mm256_maskstore_epi32(p, m.lanes, as_m256i(add(load(p), v)));
+  }
+  static void requant16(Vec v0, Vec v1, int shift, bool relu,
+                        std::int8_t* dst) {
+    requant_store16(as_m256i(v0), as_m256i(v1), shift, relu, dst);
+  }
+  static void requant_n(Vec v, int shift, bool relu, std::int8_t* dst,
+                        const Mask& m) {
+    requant_store_n(as_m256i(v), shift, relu, dst, m.n);
+  }
+};
+
+/// The pack side of the quad format, which the 256-bit (AVX-VNNI) and the
+/// 512-bit (AVX512-VNNI) quads share: both build and read one pack.
+struct QuadPack {
+  static constexpr int kGroup = 4;
+  static constexpr bool kOffset = true;
+
+  /// (v0, v1, v2, v3) as bytes, v0 lowest: the order vpdpbusd pairs them.
+  static std::int32_t lane(const std::int8_t (&v)[4]) {
+    std::int32_t q;
+    std::memcpy(&q, v, sizeof q);
+    return q;
+  }
+
+  /// The input plus 128 as unsigned bytes, four channels to a lane. Padding
+  /// bytes and the zero row are 0x80, which stands for input 0.
+  static std::vector<std::int32_t> input_plane(const TensorI8& x) {
+    const std::int64_t ci = x.shape()[2];
+    const std::int64_t pixels = x.numel() / ci;
+    const std::int64_t row = 4 * ((ci + 3) / 4);  // bytes per pixel
+    std::vector<std::int32_t> plane(
+        static_cast<std::size_t>((pixels + 1) * row / 4));
+    auto* dst = reinterpret_cast<std::uint8_t*>(plane.data());
+    const auto* src = reinterpret_cast<const std::uint8_t*>(x.data());
+    if (row == ci) {
+      for (std::int64_t i = 0; i < pixels * ci; ++i) dst[i] = src[i] ^ 0x80;
+      std::memset(dst + pixels * ci, 0x80, static_cast<std::size_t>(row));
+      return plane;
+    }
+    std::memset(dst, 0x80, plane.size() * sizeof(std::int32_t));
+    for (std::int64_t p = 0; p < pixels; ++p) {
+      for (std::int64_t c = 0; c < ci; ++c) {
+        dst[p * row + c] = src[p * ci + c] ^ 0x80;
+      }
+    }
+    return plane;
+  }
+};
+
+/// The shape of a layer's pack, shared by packing and every kernel so they
 /// cannot disagree on an offset. Offsets and sizes count int32 lanes.
 struct PackLayout {
   std::int64_t ci, co, k2, co16, tail, nblk, nb8, ng, cpad;
@@ -121,13 +244,13 @@ struct PackLayout {
         ng((c_in + group - 1) / group),
         cpad(co16 + 8 * nb8),
         offset(offset_sums) {}
-  /// Block bi's operands at tap t: per lane group g, two vectors (channels
-  /// 16bi + 0..7, then 16bi + 8..15) at + 16g.
+  /// Block bi's operands at tap t: per lane group g, 16 lanes (channels
+  /// 16bi + 0..15) at + 16g.
   std::int64_t block_at(std::int64_t t, std::int64_t bi) const {
     return (t * nblk + bi) * ng * 16;
   }
   /// The tail's operands at tap t, after every block: per lane group g,
-  /// nb8 vectors (channels co16 + 0..7, then co16 + 8..15) at + 8 nb8 g.
+  /// 8 nb8 lanes (channels co16 + 0..8 nb8 - 1) at + 8 nb8 g.
   std::int64_t tail_at(std::int64_t t) const {
     return k2 * nblk * ng * 16 + t * ng * nb8 * 8;
   }
@@ -149,7 +272,6 @@ PackLayout layout_of(std::int64_t ci, const QOp& op) {
   return PackLayout(ci, op.out_shape[2], op.kernel * op.kernel, F::kGroup,
                     F::kOffset);
 }
-
 /// Lays W[t][c][o] out as F's operands, zero past ci and co so no load
 /// leaves them. Lane o of lane group g holds W[t][kGroup g + i][o] for
 /// i < kGroup, at block_at(t, o / 16) + 16g + o % 16, or past the last
@@ -208,37 +330,67 @@ PackedWeights pack(const QOp& op) {
 }
 
 /// acc[p][v] = F::mac(acc[p][v], operand vector v, input lane) over every
-/// lane group of pixel p's row xr[p], for a tile of P pixels and V vectors
-/// of 8 output channels per lane group at `wt`: V = 2 is one 16-wide block,
-/// V = nb8 the tail. Each operand vector is loaded once and feeds P
-/// independent chains. Branchless on purpose: post-ReLU activations are
-/// zero-rich and a data-dependent skip mispredicts far more than the saved
-/// MAC costs.
-template <typename F, int P, int V>
-inline void tile_mac(const std::int32_t* const (&xr)[P],
-                     const std::int32_t* wt, std::int64_t ng,
-                     __m256i (&acc)[P][V]) {
+/// lane group of pixel p's row xr[p], for a tile of P pixels and V operand
+/// vectors. Lane group g's vector v is at wt + G g + vstride v: a 16-wide
+/// block is G = 16 with two 8-lane vectors 8 apart or one 16-lane vector
+/// (the blocks of one tile then lie vstride apart), the tail G = 8 nb8.
+/// Each operand vector is loaded once and feeds P independent chains.
+/// Branchless on purpose: post-ReLU activations are zero-rich and a
+/// data-dependent skip mispredicts far more than the saved MAC costs.
+template <typename F, int P, int V, int G>
+[[gnu::always_inline]] inline void tile_mac(
+    const std::int32_t* const (&xr)[P], const std::int32_t* wt,
+    std::int64_t vstride, std::int64_t ng, typename F::Vec (&acc)[P][V]) {
   for (std::int64_t g = 0; g < ng; ++g) {
-    __m256i wv[V];
-    for (int v = 0; v < V; ++v) {
-      wv[v] = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(wt + (g * V + v) * 8));
-    }
+    typename F::Vec wv[V];
+    for (int v = 0; v < V; ++v) wv[v] = F::load(wt + g * G + v * vstride);
     for (int p = 0; p < P; ++p) {
-      const __m256i xv = _mm256_set1_epi32(xr[p][g]);
+      const typename F::Vec xv = F::broadcast(xr[p][g]);
       for (int v = 0; v < V; ++v) acc[p][v] = F::mac(acc[p][v], wv[v], xv);
     }
   }
 }
 
-/// Calls tile(std::integral_constant<int, P>{}, x0) over a row `w` pixels
-/// wide: tiles of 4 while they fit, then single pixels, so a row narrower
-/// than 4 runs single pixels.
-template <typename Tile>
-inline void for_each_tile(std::int64_t w, Tile&& tile) {
+/// How F's tiles hold the channels: VB vectors per 16-wide block, B blocks
+/// per tile of up to 4 pixels (an 8-pixel tile holds one), and a tail of
+/// NB8 8-lane groups as TV<NB8> vectors of T<NB8>.
+template <typename F>
+struct Tiling {
+  static constexpr int VB = 16 / F::kLanes;
+  static constexpr int B = F::kLanes / 8;
+  template <int NB8>
+  using T = typename F::template Tail<NB8>;
+  template <int NB8>
+  static constexpr int TV = 8 * NB8 / T<NB8>::kLanes;
+};
+
+/// Calls tile(Int<P>{}, x0) over a row `w` pixels wide: tiles of 8 while
+/// they fit where `wide` (16-lane formats only), then tiles of 4, then
+/// single pixels, so a row narrower than 4 runs single pixels.
+template <typename F, typename Tile>
+inline void for_each_tile(std::int64_t w, [[maybe_unused]] bool wide,
+                          Tile&& tile) {
   std::int64_t x = 0;
-  for (; x + 4 <= w; x += 4) tile(std::integral_constant<int, 4>{}, x);
-  for (; x < w; ++x) tile(std::integral_constant<int, 1>{}, x);
+  if constexpr (F::kLanes == 16) {
+    if (wide) {
+      for (; x + 8 <= w; x += 8) tile(Int<8>{}, x);
+    }
+  }
+  for (; x + 4 <= w; x += 4) tile(Int<4>{}, x);
+  for (; x < w; ++x) tile(Int<1>{}, x);
+}
+
+/// Requants block b of one pixel's accumulators, `acc`, to 16 bytes at
+/// dst: vectors 2b and 2b + 1 of 8 lanes, or vector b of 16.
+template <typename F, int V>
+[[gnu::always_inline]] inline void requant_block(
+    const typename F::Vec (&acc)[V], int b, int shift, bool relu,
+    std::int8_t* dst) {
+  if constexpr (F::kLanes == 8) {
+    F::requant16(acc[2 * b], acc[2 * b + 1], shift, relu, dst);
+  } else {
+    F::requant16(acc[b], shift, relu, dst);
+  }
 }
 
 /// What every tile of one conv call reads and writes.
@@ -261,6 +413,7 @@ struct ConvCall {
 template <typename F, int P>
 [[gnu::noinline]] void conv_tile(const ConvCall& c, std::int64_t oy,
                                  std::int64_t ox0) {
+  using S = Tiling<F>;
   assert(ox0 >= 0 && ox0 + P <= c.w);
   const PackLayout& l = c.l;
   // Local copies of the call's fields: read through `c` inside the tap
@@ -276,10 +429,13 @@ template <typename F, int P>
   // the first pixel's last.
   const std::int64_t kx0 = std::max<std::int64_t>(0, pad - (ox0 + P - 1));
   const std::int64_t kx1 = std::min(k, w + pad - ox0);
-  // acc += every tap of the tile; operands(t) is tap t's. A single pixel's
-  // clipped taps all lie on the map, so only a wider tile reads the zero
-  // row.
-  const auto sum_taps = [&](auto operands, auto& acc) {
+  // acc += every tap of the tile, in T's vectors; operands(t) is tap t's,
+  // lane group g's vector v at + G g + vstride v. A single pixel's clipped
+  // taps all lie on the map, so only a wider tile reads the zero row.
+  const auto sum_taps = [&]<typename T, int V, int G>(
+                            std::type_identity<T>, Int<G>, auto operands,
+                            std::int64_t vstride,
+                            typename T::Vec (&acc)[P][V]) {
     for (std::int64_t ky = ky0; ky < ky1; ++ky) {
       const std::int64_t row = (oy + ky - pad) * w;
       for (std::int64_t kx = kx0; kx < kx1; ++kx) {
@@ -289,30 +445,27 @@ template <typename F, int P>
           xr[p] = P == 1 || (ix >= 0 && ix < w) ? xplane + (row + ix) * ng
                                                 : zero_row;
         }
-        tile_mac<F>(xr, operands(ky * k + kx), ng, acc);
+        tile_mac<T, P, V, G>(xr, operands(ky * k + kx), vstride, ng, acc);
       }
     }
   };
-  // acc = the bias of channels ch.. (at `bias`). An offset format also
-  // takes out 128 times the weight sum of every tap the tile reads, which
-  // the +128 offset adds in. Every pixel of the tile reads the same taps
-  // (off the map, the zero row, which holds input 0), so one seed serves
-  // them all, and a tile that reads every tap loads the whole-kernel total.
-  const auto seed = [&]<int V>(const std::int32_t* bias,
-                               [[maybe_unused]] std::int64_t ch,
-                               __m256i (&acc)[P][V]) {
-    __m256i s[V];
-    for (int v = 0; v < V; ++v) {
-      s[v] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(bias + 8 * v));
-    }
+  // acc = the bias of channels ch.. (at `bias`), in T's vectors. An offset
+  // format also takes out 128 times the weight sum of every tap the tile
+  // reads, which the +128 offset adds in. Every pixel of the tile reads the
+  // same taps (off the map, the zero row, which holds input 0), so one seed
+  // serves them all, and a tile that reads every tap loads the whole-kernel
+  // total.
+  const auto seed = [&]<typename T, int V>(std::type_identity<T>,
+                                           const std::int32_t* bias,
+                                           [[maybe_unused]] std::int64_t ch,
+                                           typename T::Vec (&acc)[P][V]) {
+    constexpr int L = T::kLanes;
+    typename T::Vec s[V];
+    for (int v = 0; v < V; ++v) s[v] = T::load(bias + L * v);
     if constexpr (F::kOffset) {
       const auto minus_tap = [&](std::int64_t t) {
         const std::int32_t* st = c.sums + l.sum_at(t) + ch;
-        for (int v = 0; v < V; ++v) {
-          s[v] = _mm256_sub_epi32(
-              s[v],
-              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(st + 8 * v)));
-        }
+        for (int v = 0; v < V; ++v) s[v] = T::sub(s[v], T::load(st + L * v));
       };
       if (ky1 - ky0 == k && kx1 - kx0 == k) {
         minus_tap(k * k);
@@ -328,33 +481,54 @@ template <typename F, int P>
   };
   std::int8_t* po = c.out + (oy * w + ox0) * l.co;
 
-  for (std::int64_t bi = 0; bi < l.nblk; ++bi) {
-    __m256i acc[P][2];
-    seed(c.bias + 16 * bi, 16 * bi, acc);
-    sum_taps([&](std::int64_t t) { return c.operands + l.block_at(t, bi); },
-             acc);
+  // NB blocks from bi on: their vectors lie 8 lanes apart within a block,
+  // or whole blocks apart. Always inlined: as a call, GCC kept the tile's
+  // accumulators on the stack around the tap loops.
+  const auto blocks = [&]<int NB>(std::int64_t bi, Int<NB>)
+                          __attribute__((always_inline)) {
+    static_assert(NB == 1 || S::VB == 1);
+    constexpr int V = NB * S::VB;
+    typename F::Vec acc[P][V];
+    seed(std::type_identity<F>{}, c.bias + 16 * bi, 16 * bi, acc);
+    sum_taps(
+        std::type_identity<F>{}, Int<16>{},
+        [&](std::int64_t t) { return c.operands + l.block_at(t, bi); },
+        S::VB == 1 ? ng * 16 : F::kLanes, acc);
     for (int p = 0; p < P; ++p) {
-      requant_store16(acc[p][0], acc[p][1], c.shift, c.relu,
-                      po + p * l.co + 16 * bi);
+      for (int b = 0; b < NB; ++b) {
+        requant_block<F>(acc[p], b, c.shift, c.relu,
+                         po + p * l.co + 16 * (bi + b));
+      }
     }
+  };
+  constexpr int B = P == 8 ? 1 : S::B;
+  std::int64_t bi = 0;
+  for (; bi + B <= l.nblk; bi += B) blocks(bi, Int<B>{});
+  if constexpr (B > 1) {
+    if (bi < l.nblk) blocks(bi, Int<1>{});
   }
 
   // Channels past the last block: the whole layer when co < 16, as on the
   // narrow rungs and the class-logit head.
-  const auto tail = [&]<int V>(std::integral_constant<int, V>) {
-    __m256i acc[P][V];
-    seed(c.tail_bias, l.co16, acc);
-    sum_taps([&](std::int64_t t) { return c.operands + l.tail_at(t); }, acc);
-    for (int p = 0; p < P; ++p) {
-      for (std::int64_t v = 0; v < V; ++v) {
-        requant_store_n(acc[p][v], c.shift, c.relu,
-                        po + p * l.co + l.co16 + 8 * v,
-                        std::min<std::int64_t>(8, l.tail - 8 * v));
+  const auto tail = [&]<int NB8>(Int<NB8>) __attribute__((always_inline)) {
+    using T = typename S::template T<NB8>;
+    constexpr int V = S::template TV<NB8>, L = T::kLanes;
+    typename T::Vec acc[P][V];
+    seed(std::type_identity<T>{}, c.tail_bias, l.co16, acc);
+    sum_taps(
+        std::type_identity<T>{}, Int<8 * NB8>{},
+        [&](std::int64_t t) { return c.operands + l.tail_at(t); }, L, acc);
+    for (int v = 0; v < V; ++v) {
+      const typename T::Mask m =
+          T::mask(std::min<std::int64_t>(L, l.tail - L * v));
+      for (int p = 0; p < P; ++p) {
+        T::requant_n(acc[p][v], c.shift, c.relu,
+                     po + p * l.co + l.co16 + L * v, m);
       }
     }
   };
-  if (l.nb8 == 1) tail(std::integral_constant<int, 1>{});
-  if (l.nb8 == 2) tail(std::integral_constant<int, 2>{});
+  if (l.nb8 == 1) tail(Int<1>{});
+  if (l.nb8 == 2) tail(Int<2>{});
 }
 
 /// What every tile of one tconv call reads and writes.
@@ -364,7 +538,6 @@ struct TConvCall {
   const std::int32_t* xplane;
   const std::int32_t* operands;
   const std::int32_t* sums;  // an offset format's
-  __m256i tmask[2];  // the tail's valid lanes, per 8 channels
   std::int32_t* plane;
 };
 
@@ -377,6 +550,7 @@ template <typename F, int P>
 [[gnu::noinline]] void tconv_tile(const TConvCall& c, std::int64_t iy,
                                   std::int64_t oy, std::int64_t t,
                                   std::int64_t kx, std::int64_t ix0) {
+  using S = Tiling<F>;
   assert(ix0 >= 0 && ix0 + P <= c.w);
   const PackLayout& l = c.l;
   const std::int64_t ow = 2 * c.w;
@@ -392,54 +566,61 @@ template <typename F, int P>
   if (!lands) return;
 
   // acc = 0, or in an offset format minus 128 times tap t's weight sums
-  // of channels ch.., which the +128 offset adds in.
-  const auto seed = [&]<int V>([[maybe_unused]] std::int64_t ch,
-                               __m256i (&acc)[P][V]) {
+  // of channels ch.., in T's vectors, which the +128 offset adds in.
+  const auto seed = [&]<typename T, int V>(std::type_identity<T>,
+                                           [[maybe_unused]] std::int64_t ch,
+                                           typename T::Vec (&acc)[P][V]) {
     for (int v = 0; v < V; ++v) {
-      __m256i s = _mm256_setzero_si256();
+      typename T::Vec s = T::zero();
       if constexpr (F::kOffset) {
-        const std::int32_t* st = c.sums + l.sum_at(t) + ch + 8 * v;
-        s = _mm256_sub_epi32(
-            s, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(st)));
+        s = T::sub(s, T::load(c.sums + l.sum_at(t) + ch + T::kLanes * v));
       }
       for (int p = 0; p < P; ++p) acc[p][v] = s;
     }
   };
 
-  // Each block sums every input channel in registers, then touches each
-  // output pixel once.
-  for (std::int64_t bi = 0; bi < l.nblk; ++bi) {
-    __m256i acc[P][2];
-    seed(16 * bi, acc);
-    tile_mac<F>(xr, c.operands + l.block_at(t, bi), l.ng, acc);
+  // NB blocks from bi on, as conv_tile's: each sums every input channel in
+  // registers, then touches each output pixel once.
+  const auto blocks = [&]<int NB>(std::int64_t bi, Int<NB>)
+                          __attribute__((always_inline)) {
+    static_assert(NB == 1 || S::VB == 1);
+    constexpr int V = NB * S::VB;
+    typename F::Vec acc[P][V];
+    seed(std::type_identity<F>{}, 16 * bi, acc);
+    tile_mac<F, P, V, 16>(xr, c.operands + l.block_at(t, bi),
+                          S::VB == 1 ? l.ng * 16 : F::kLanes, l.ng, acc);
     for (int p = 0; p < P; ++p) {
       if (pa[p] == nullptr) continue;
-      for (int v = 0; v < 2; ++v) {
-        __m256i* a = reinterpret_cast<__m256i*>(pa[p] + 16 * bi + 8 * v);
-        _mm256_storeu_si256(
-            a, _mm256_add_epi32(_mm256_loadu_si256(a), acc[p][v]));
-      }
-    }
-  }
-
-  const auto tail = [&]<int V>(std::integral_constant<int, V>) {
-    __m256i acc[P][V];
-    seed(l.co16, acc);
-    tile_mac<F>(xr, c.operands + l.tail_at(t), l.ng, acc);
-    for (int p = 0; p < P; ++p) {
-      if (pa[p] == nullptr) continue;
-      for (std::int64_t v = 0; v < V; ++v) {
-        std::int32_t* ptr = pa[p] + l.co16 + 8 * v;
-        _mm256_maskstore_epi32(
-            ptr, c.tmask[v],
-            _mm256_add_epi32(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ptr)),
-                acc[p][v]));
+      for (int v = 0; v < V; ++v) {
+        std::int32_t* a = pa[p] + 16 * bi + F::kLanes * v;
+        F::store(a, F::add(F::load(a), acc[p][v]));
       }
     }
   };
-  if (l.nb8 == 1) tail(std::integral_constant<int, 1>{});
-  if (l.nb8 == 2) tail(std::integral_constant<int, 2>{});
+  constexpr int B = P == 8 ? 1 : S::B;
+  std::int64_t bi = 0;
+  for (; bi + B <= l.nblk; bi += B) blocks(bi, Int<B>{});
+  if constexpr (B > 1) {
+    if (bi < l.nblk) blocks(bi, Int<1>{});
+  }
+
+  const auto tail = [&]<int NB8>(Int<NB8>) __attribute__((always_inline)) {
+    using T = typename S::template T<NB8>;
+    constexpr int V = S::template TV<NB8>, L = T::kLanes;
+    typename T::Vec acc[P][V];
+    seed(std::type_identity<T>{}, l.co16, acc);
+    tile_mac<T, P, V, 8 * NB8>(xr, c.operands + l.tail_at(t), L, l.ng, acc);
+    for (int v = 0; v < V; ++v) {
+      const typename T::Mask m =
+          T::mask(std::min<std::int64_t>(L, l.tail - L * v));
+      for (int p = 0; p < P; ++p) {
+        if (pa[p] == nullptr) continue;
+        T::add_masked(pa[p] + l.co16 + L * v, acc[p][v], m);
+      }
+    }
+  };
+  if (l.nb8 == 1) tail(Int<1>{});
+  if (l.nb8 == 2) tail(Int<2>{});
 }
 
 template <typename F>
@@ -465,9 +646,9 @@ void conv2d_tiles(const TensorI8& x, const QOp& op, const PackedWeights& pw,
   for (std::int64_t o = 0; o < c.l.tail; ++o) {
     c.tail_bias[o] = op.bias[static_cast<std::size_t>(c.l.co16 + o)];
   }
+  const bool wide = c.l.nblk <= 1;
   for (std::int64_t oy = 0; oy < h; ++oy) {
-    for_each_tile(c.w, [&]<int P>(std::integral_constant<int, P>,
-                                  std::int64_t ox0) {
+    for_each_tile<F>(c.w, wide, [&]<int P>(Int<P>, std::int64_t ox0) {
       conv_tile<F, P>(c, oy, ox0);
     });
   }
@@ -476,6 +657,7 @@ void conv2d_tiles(const TensorI8& x, const QOp& op, const PackedWeights& pw,
 template <typename F>
 void tconv2d_tiles(const TensorI8& x, const QOp& op, const PackedWeights& pw,
                    TensorI8& out, int fix_pos_in, tensor::TensorArena* arena) {
+  constexpr int L = F::kLanes;
   const std::int64_t h = x.shape()[0];
   const std::int64_t w = x.shape()[1];
   const std::int64_t k = op.kernel;
@@ -487,17 +669,9 @@ void tconv2d_tiles(const TensorI8& x, const QOp& op, const PackedWeights& pw,
               .xplane = xplane.data(),
               .operands = pw.operands.data(),
               .sums = pw.sums.data(),
-              .tmask = {_mm256_setzero_si256(), _mm256_setzero_si256()},
               .plane = detail::tconv_scratch(op, arena, local)};
   assert(c.l.fits(pw));
-  // The tail adds into the accumulator plane through a masked store
-  // (full-width loads stay in bounds because tconv_scratch pads the plane
-  // by 8 int32).
-  const __m256i idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  for (std::int64_t b = 0; b < c.l.nb8; ++b) {
-    c.tmask[b] = _mm256_cmpgt_epi32(
-        _mm256_set1_epi32(static_cast<int>(c.l.tail - 8 * b)), idx);
-  }
+  const bool wide = c.l.nblk <= 1;
 
   // The reference's scatter: input pixel (iy, ix) adds tap (ky, kx)'s
   // products into output pixel (2iy-1+ky, 2ix-1+kx). A tile of input pixels
@@ -508,8 +682,7 @@ void tconv2d_tiles(const TensorI8& x, const QOp& op, const PackedWeights& pw,
       const std::int64_t oy = 2 * iy - 1 + ky;
       if (oy < 0 || oy >= 2 * h) continue;
       for (std::int64_t kx = 0; kx < k; ++kx) {
-        for_each_tile(w, [&]<int P>(std::integral_constant<int, P>,
-                                    std::int64_t ix0) {
+        for_each_tile<F>(w, wide, [&]<int P>(Int<P>, std::int64_t ix0) {
           tconv_tile<F, P>(c, iy, oy, ky * k + kx, kx, ix0);
         });
       }
@@ -520,10 +693,9 @@ void tconv2d_tiles(const TensorI8& x, const QOp& op, const PackedWeights& pw,
   const std::int64_t n = op.out_shape.numel();
   std::int64_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    requant_store16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(plane + i)),
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(plane + i + 8)),
-        shift, op.relu, out.data() + i);
+    typename F::Vec v[16 / L];
+    for (int j = 0; j < 16 / L; ++j) v[j] = F::load(plane + i + L * j);
+    requant_block<F>(v, 0, shift, op.relu, out.data() + i);
   }
   for (; i < n; ++i) {
     std::int32_t v = rshift_round32(plane[i], shift);

@@ -1,6 +1,7 @@
 #include "quant/qgraph.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -240,24 +241,48 @@ TensorI8 QGraph::forward(const TensorI8& input,
 Interval conv_acc_interval(const std::int8_t* weights, std::int64_t taps,
                            std::int64_t co, const std::int32_t* bias,
                            Interval in) {
+  assert(in.lo <= in.hi);
   if (co <= 0) return {0, 0};
-  std::vector<std::int64_t> lo(bias, bias + co);
-  std::vector<std::int64_t> hi(bias, bias + co);
-  // Taps outer, channels inner, so the [tap][co] weights are read in order.
-  // The sums are integers, so the loop order cannot change them.
-  for (std::int64_t t = 0; t < taps; ++t) {
-    const std::int8_t* row = weights + t * co;
-    for (std::int64_t o = 0; o < co; ++o) {
-      const std::int64_t p1 = row[o] * in.lo;
-      const std::int64_t p2 = row[o] * in.hi;
-      // A tap can be absent (zero padding at borders, tconv phases), so its
-      // contribution interval always includes 0.
-      lo[static_cast<std::size_t>(o)] += std::min({p1, p2, std::int64_t{0}});
-      hi[static_cast<std::size_t>(o)] += std::max({p1, p2, std::int64_t{0}});
+  // A tap can be absent (zero padding at borders, tconv phases), so each
+  // product's interval includes 0. With lo <= hi, min(w lo, w hi, 0) is
+  // w min(lo, 0) for w > 0 and w max(hi, 0) for w < 0, and the maximum
+  // mirrors it, so a channel's sums over its taps need only P and N, the
+  // sums of its positive and of its negative weights:
+  //   lo = bias + min(lo, 0) P + max(hi, 0) N,
+  //   hi = bias + max(hi, 0) P + min(lo, 0) N.
+  // P and N add up in int32 over chunks of 2^23 taps, within 2^30, then in
+  // int64. Taps outer, channels inner, so the [tap][co] weights are read in
+  // order and the channel loop vectorizes.
+  const auto n = static_cast<std::size_t>(co);
+  std::vector<std::int64_t> pos(n), neg(n);
+  std::vector<std::int32_t> chunk_pos(n), chunk_neg(n);
+  constexpr std::int64_t kChunk = std::int64_t{1} << 23;
+  for (std::int64_t t0 = 0; t0 < taps; t0 += kChunk) {
+    std::fill(chunk_pos.begin(), chunk_pos.end(), 0);
+    std::fill(chunk_neg.begin(), chunk_neg.end(), 0);
+    const std::int64_t t1 = std::min(taps, t0 + kChunk);
+    for (std::int64_t t = t0; t < t1; ++t) {
+      const std::int8_t* row = weights + t * co;
+      for (std::size_t o = 0; o < n; ++o) {
+        const std::int32_t w = row[o];
+        chunk_pos[o] += w > 0 ? w : 0;
+        chunk_neg[o] += w < 0 ? w : 0;
+      }
+    }
+    for (std::size_t o = 0; o < n; ++o) {
+      pos[o] += chunk_pos[o];
+      neg[o] += chunk_neg[o];
     }
   }
-  return {*std::min_element(lo.begin(), lo.end()),
-          *std::max_element(hi.begin(), hi.end())};
+  const std::int64_t below = std::min<std::int64_t>(in.lo, 0);
+  const std::int64_t above = std::max<std::int64_t>(in.hi, 0);
+  Interval acc{std::numeric_limits<std::int64_t>::max(),
+               std::numeric_limits<std::int64_t>::min()};
+  for (std::size_t o = 0; o < n; ++o) {
+    acc.lo = std::min(acc.lo, bias[o] + below * pos[o] + above * neg[o]);
+    acc.hi = std::max(acc.hi, bias[o] + above * pos[o] + below * neg[o]);
+  }
+  return acc;
 }
 
 Interval conv_acc_interval(const QOp& op, std::int64_t ci, Interval in) {

@@ -153,7 +153,9 @@ int choose_fix_pos(const TensorF& x);
 
 /// Worst-channel accumulator interval of a conv/tconv: bias plus the sum of
 /// every kernel tap's product interval. `weights` is the [K][K][Cin][Cout]
-/// layout flattened, `taps` = k*k*ci, `in` the input activation interval.
+/// layout flattened, `taps` = k*k*ci, `in` the input activation interval
+/// (in.lo <= in.hi). Computed from each channel's sums of positive and of
+/// negative weights, which give the per-tap sum exactly.
 Interval conv_acc_interval(const std::int8_t* weights, std::int64_t taps,
                            std::int64_t co, const std::int32_t* bias,
                            Interval in);

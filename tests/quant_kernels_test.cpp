@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/workflow.hpp"
 #include "dpu/compiler.hpp"
 #include "dpu/core_sim.hpp"
 #include "nn/unet.hpp"
@@ -102,65 +103,102 @@ class SimdKernelsTest : public KernelsTest {
   }
 };
 
-// On x86 the dispatcher runs one of two operand formats, whichever the CPU
-// supports: int8 quads on AVX-VNNI, else int16 pairs. Where it runs quads,
-// the conv and tconv sweeps also run the pair format through its entry
-// points, so the format CPUs without AVX-VNNI take stays tested here.
-bool quads_dispatched() {
+// On x86 the dispatcher runs one of three paths, the widest this CPU has:
+// int8 quads on 512-bit vectors (AVX512-VNNI), int8 quads on 256-bit
+// vectors (AVX-VNNI), else int16 pairs. The conv, tconv and widest-layer
+// sweeps also run every other path this CPU has through its entry points
+// in kernels_internal.hpp, so the paths CPUs without AVX512-VNNI or without
+// any VNNI take stay tested here.
+struct X86Path {
+  const char* name;
+  kernels::PackedWeights (*pack)(const QOp&);
+  void (*conv)(const TensorI8&, const QOp&, const kernels::PackedWeights&,
+               TensorI8&, int);
+  void (*tconv)(const TensorI8&, const QOp&, const kernels::PackedWeights&,
+                TensorI8&, int, TensorArena*);
+};
+
+/// Every x86 path this CPU can run, widest first, so the first is the
+/// dispatcher's.
+std::vector<X86Path> x86_paths() {
+  std::vector<X86Path> paths;
 #if defined(SENECA_KERNELS_AVX2)
-  return kernels::avxvnni_available();
-#else
-  return false;
+  if (!kernels::simd_available()) return paths;
+#if defined(SENECA_KERNELS_AVX512VNNI)
+  if (kernels::avx512vnni_available()) {
+    paths.push_back({"avx512-vnni", kernels::pack_weights_avx512vnni,
+                     kernels::conv2d_avx512vnni,
+                     kernels::tconv2d_avx512vnni});
+  }
 #endif
+#if defined(SENECA_KERNELS_AVXVNNI)
+  if (kernels::avxvnni_available()) {
+    paths.push_back({"avx-vnni", kernels::pack_weights_avxvnni,
+                     kernels::conv2d_avxvnni, kernels::tconv2d_avxvnni});
+  }
+#endif
+  paths.push_back({"avx2", kernels::pack_weights_avx2, kernels::conv2d_avx2,
+                   kernels::tconv2d_avx2});
+#endif
+  return paths;
 }
 
-#if defined(SENECA_KERNELS_AVX2)
-kernels::PackedWeights pack_pairs(const QOp& op) {
-  return quads_dispatched() ? kernels::pack_weights_avx2(op)
-                            : kernels::PackedWeights{};
+/// The x86 paths this CPU can run besides the dispatcher's.
+std::vector<X86Path> other_paths() {
+  std::vector<X86Path> paths = x86_paths();
+  if (!paths.empty()) paths.erase(paths.begin());
+  return paths;
 }
-/// The pair format's output, or the reference itself where the dispatcher
-/// runs the pair format already.
-TensorI8 run_pairs(const TensorI8& x, const QOp& op,
-                   const kernels::PackedWeights& pairs, const TensorI8& ref,
-                   int fp_in) {
-  if (!quads_dispatched()) return ref;
+
+/// Each path's pack of `op`, in the order of `paths`.
+std::vector<kernels::PackedWeights> pack_each(
+    const std::vector<X86Path>& paths, const QOp& op) {
+  std::vector<kernels::PackedWeights> packs;
+  for (const X86Path& path : paths) packs.push_back(path.pack(op));
+  return packs;
+}
+
+/// `path`'s output for `op`, a conv or tconv.
+TensorI8 run_path(const X86Path& path, const TensorI8& x, const QOp& op,
+                  const kernels::PackedWeights& pack, int fp_in) {
   TensorI8 out(op.out_shape);
   if (op.kind == QOpKind::kConv2D) {
-    kernels::conv2d_avx2(x, op, pairs, out, fp_in);
+    path.conv(x, op, pack, out, fp_in);
   } else {
-    kernels::tconv2d_avx2(x, op, pairs, out, fp_in, nullptr);
+    path.tconv(x, op, pack, out, fp_in, nullptr);
   }
   return out;
 }
-#else
-kernels::PackedWeights pack_pairs(const QOp&) { return {}; }
-TensorI8 run_pairs(const TensorI8&, const QOp&, const kernels::PackedWeights&,
-                   const TensorI8& ref, int) {
-  return ref;
-}
-#endif
 
 // ------------------------------------------------ conv bit-exactness -----
 
+// Output channel counts for the conv and tconv sweeps: every tail length
+// past the last 16-wide block, 1 to 15 (each a different masked store on
+// the 512-bit quads, and one or two 8-lane vectors on the 256-bit paths),
+// on 0 to 4 blocks, so the 512-bit quads meet 8-pixel tiles of one block,
+// 4-pixel tiles of two blocks, and an odd last block alone.
+constexpr std::int64_t kSweepCos[] = {1,  2,  3,  4,  6,  7,  8,  11, 13, 16,
+                                      17, 21, 25, 28, 33, 39, 42, 48, 62, 79};
+
 TEST_F(SimdKernelsTest, Conv2DBitExactAcrossBackends) {
-  // Channel counts straddle the AVX2 (16-wide, 2-channel-paired) and NEON
-  // (8-wide) vector widths: odd, prime, exact multiples, and multiples+1.
+  // Input channel counts straddle the lane groups of every format (2 or 4
+  // input channels per lane) and NEON's 8-wide vectors: odd, prime, exact
+  // multiples, and multiples+1.
   const std::int64_t cis[] = {1, 2, 3, 5, 6, 8, 11, 16, 17};
-  const std::int64_t cos[] = {1, 3, 6, 7, 8, 11, 16, 17, 33};
   // fp_in + fp_w - fp_out: positive (right shift), zero, and negative (the
   // left-shift requant path).
   const int shifts[] = {4, 2, 0, -2};
   // Every map width from 1 to 9 meets every channel pair with both kernel
-  // sizes, so a row ends on a whole 4-pixel tile or on 1 to 3 single
+  // sizes, so a row ends on a whole 8- or 4-pixel tile or on 1 to 3 single
   // pixels, and some rows are narrower than one tile. The height cycles
-  // with the channel pair, so each (h, w, k) meets nine pairs, 1xn and nx1
-  // maps among them. The shift and relu skip the seed's low bit, which k
-  // fixes, so each k meets every shift and both relu values.
+  // with the channel pair, so each (h, w, k) meets every ninth pair, 1xn
+  // and nx1 maps among them. The shift and relu skip the seed's low bit,
+  // which k fixes, so each k meets every shift and both relu values.
+  const std::vector<X86Path> others = other_paths();
   std::uint64_t seed = 1;
   std::int64_t pair = 0;
   for (std::int64_t ci : cis) {
-    for (std::int64_t co : cos) {
+    for (std::int64_t co : kSweepCos) {
       ++pair;
       for (std::int64_t w = 1; w <= 9; ++w) {
         for (std::int64_t k : {1, 3}) {
@@ -174,7 +212,8 @@ TEST_F(SimdKernelsTest, Conv2DBitExactAcrossBackends) {
           // One pack reused over two frames, as DpuCoreSim does, and a call
           // without a pack, which packs for itself.
           const kernels::PackedWeights pack = kernels::pack_weights(op);
-          const kernels::PackedWeights pairs = pack_pairs(op);
+          const std::vector<kernels::PackedWeights> packs =
+              pack_each(others, op);
           for (std::uint64_t frame = 0; frame < 2; ++frame) {
             const TensorI8 x = random_i8(Shape{h, w, ci}, seed * 10 + frame);
             TensorI8 ref(op.out_shape), reused(op.out_shape),
@@ -190,10 +229,13 @@ TEST_F(SimdKernelsTest, Conv2DBitExactAcrossBackends) {
                 << "ci=" << ci << " co=" << co << " k=" << k << " h=" << h
                 << " w=" << w << " shift=" << shift << " relu=" << relu
                 << " frame=" << frame << " (no pack)";
-            EXPECT_TRUE(same_tensor(run_pairs(x, op, pairs, ref, fp_in), ref))
-                << "ci=" << ci << " co=" << co << " k=" << k << " h=" << h
-                << " w=" << w << " shift=" << shift << " relu=" << relu
-                << " frame=" << frame << " (pair format)";
+            for (std::size_t i = 0; i < others.size(); ++i) {
+              EXPECT_TRUE(same_tensor(
+                  run_path(others[i], x, op, packs[i], fp_in), ref))
+                  << "ci=" << ci << " co=" << co << " k=" << k << " h=" << h
+                  << " w=" << w << " shift=" << shift << " relu=" << relu
+                  << " frame=" << frame << " (" << others[i].name << ")";
+            }
           }
         }
       }
@@ -203,15 +245,16 @@ TEST_F(SimdKernelsTest, Conv2DBitExactAcrossBackends) {
 
 TEST_F(SimdKernelsTest, TConv2DBitExactAcrossBackends) {
   const std::int64_t cis[] = {1, 3, 6, 8, 11, 17};
-  const std::int64_t cos[] = {1, 5, 6, 8, 11, 16, 33};
   const int shifts[] = {4, 0, -2};
   // Input maps 1 to 9 wide, as in the conv sweep: rows of input pixels end
   // on every remainder, and the left column's first tap, whose output
-  // column falls off the map, sits in 4-pixel tiles and in single pixels.
+  // column falls off the map, sits in 8- and 4-pixel tiles and in single
+  // pixels.
+  const std::vector<X86Path> others = other_paths();
   std::uint64_t seed = 1000;
   std::int64_t pair = 0;
   for (std::int64_t ci : cis) {
-    for (std::int64_t co : cos) {
+    for (std::int64_t co : kSweepCos) {
       ++pair;
       for (std::int64_t w = 1; w <= 9; ++w) {
         ++seed;
@@ -224,7 +267,7 @@ TEST_F(SimdKernelsTest, TConv2DBitExactAcrossBackends) {
         // One pack reused over two frames with an arena-provided
         // accumulator plane, and a call with neither.
         const kernels::PackedWeights pack = kernels::pack_weights(op);
-        const kernels::PackedWeights pairs = pack_pairs(op);
+        const std::vector<kernels::PackedWeights> packs = pack_each(others, op);
         TensorArena arena;
         for (std::uint64_t frame = 0; frame < 2; ++frame) {
           const TensorI8 x = random_i8(Shape{h, w, ci}, seed * 10 + frame);
@@ -241,9 +284,13 @@ TEST_F(SimdKernelsTest, TConv2DBitExactAcrossBackends) {
               << "ci=" << ci << " co=" << co << " h=" << h << " w=" << w
               << " shift=" << shift << " frame=" << frame
               << " (no pack, no arena)";
-          EXPECT_TRUE(same_tensor(run_pairs(x, op, pairs, ref, fp_in), ref))
-              << "ci=" << ci << " co=" << co << " h=" << h << " w=" << w
-              << " shift=" << shift << " frame=" << frame << " (pair format)";
+          for (std::size_t i = 0; i < others.size(); ++i) {
+            EXPECT_TRUE(same_tensor(
+                run_path(others[i], x, op, packs[i], fp_in), ref))
+                << "ci=" << ci << " co=" << co << " h=" << h << " w=" << w
+                << " shift=" << shift << " frame=" << frame << " ("
+                << others[i].name << ")";
+          }
         }
       }
     }
@@ -262,6 +309,7 @@ TEST_F(SimdKernelsTest, WidestLayersBitExactWithReusedPackAndWithout) {
   const Case cases[] = {{QOpKind::kConv2D, 2, 512, 512},
                         {QOpKind::kConv2D, 4, 512, 256},
                         {QOpKind::kTConv2D, 2, 512, 256}};
+  const std::vector<X86Path> others = other_paths();
   std::uint64_t seed = 4000;
   for (const Case& c : cases) {
     ++seed;
@@ -272,7 +320,7 @@ TEST_F(SimdKernelsTest, WidestLayersBitExactWithReusedPackAndWithout) {
     const QOp op = make_op(c.kind, 3, c.ci, c.co, Shape{ohw, ohw, c.co}, fp_w,
                            fp_in + fp_w - shift, (seed % 2) != 0, seed);
     const kernels::PackedWeights pack = kernels::pack_weights(op);
-    const kernels::PackedWeights pairs = pack_pairs(op);
+    const std::vector<kernels::PackedWeights> packs = pack_each(others, op);
     for (std::uint64_t frame = 0; frame < 3; ++frame) {
       const TensorI8 x = random_i8(Shape{c.hw, c.hw, c.ci}, seed * 10 + frame);
       TensorI8 ref(op.out_shape), reused(op.out_shape), per_call(op.out_shape);
@@ -291,9 +339,12 @@ TEST_F(SimdKernelsTest, WidestLayersBitExactWithReusedPackAndWithout) {
       EXPECT_TRUE(same_tensor(per_call, ref))
           << "ci=" << c.ci << " co=" << c.co << " frame=" << frame
           << " (no pack)";
-      EXPECT_TRUE(same_tensor(run_pairs(x, op, pairs, ref, fp_in), ref))
-          << "ci=" << c.ci << " co=" << c.co << " frame=" << frame
-          << " (pair format)";
+      for (std::size_t i = 0; i < others.size(); ++i) {
+        EXPECT_TRUE(
+            same_tensor(run_path(others[i], x, op, packs[i], fp_in), ref))
+            << "ci=" << c.ci << " co=" << c.co << " frame=" << frame << " ("
+            << others[i].name << ")";
+      }
     }
   }
 }
@@ -307,14 +358,18 @@ TEST_F(SimdKernelsTest, OffsetFormStaysExactWhereItsU8PartOverflowsInt32) {
   // admits the layer at every shift from 22 to 29. Channel 0 has every
   // weight -128, channel 1 every weight 127 (a u8 part of +3.2e9), and
   // channel 2 -128 on its first half of input channels and 127 on the
-  // rest. Each case runs the quad entry points directly as well as the
-  // dispatcher, so a fallback to the reference cannot pass for the quad
-  // format. At shift 24 the centre output of channel 0, -1.6e9 / 2^24, is
-  // about -95: unsaturated.
-  if (!quads_dispatched()) {
-    GTEST_SKIP() << "this CPU lacks AVX-VNNI, so the quad format never runs";
+  // rest. Each case runs every x86 path this CPU has (each quad width it
+  // has, and the pairs) through its entry point as well as the dispatcher,
+  // so a fallback to the reference cannot pass for the quad format. At
+  // shift 24 the centre output of channel 0, -1.6e9 / 2^24, is about -95:
+  // unsaturated.
+  const std::vector<X86Path> paths = x86_paths();
+  if (paths.empty() || std::string(paths.front().name) == "avx2") {
+    GTEST_SKIP() << "this CPU lacks AVX-VNNI and AVX512-VNNI, so the quad "
+                    "format never runs";
   }
-#if defined(SENECA_KERNELS_AVXVNNI)
+  ASSERT_STREQ(paths.front().name,
+               kernels::backend_name(kernels::Backend::kSimd));
   const std::int64_t k = 3, hw = 3, co = 17;
   const int fp_in = 0, fp_w = 0;
   int cases = 0, unsaturated = 0;
@@ -337,29 +392,30 @@ TEST_F(SimdKernelsTest, OffsetFormStaysExactWhereItsU8PartOverflowsInt32) {
       for (const std::int32_t b : op.bias) {
         max_bias = std::max<std::int64_t>(max_bias, std::abs(b));
       }
-      const kernels::PackedWeights quads = kernels::pack_weights_avxvnni(op);
+      const std::vector<kernels::PackedWeights> packs = pack_each(paths, op);
       for (int shift = 22; shift <= 29; ++shift) {
         op.fix_pos_out = fp_in + fp_w - shift;
         // The bound the dispatcher's headroom proof checks.
         ASSERT_LE(max_bias + k * k * ci * 128 * 128 +
                       (std::int64_t{1} << (shift - 1)),
                   std::numeric_limits<std::int32_t>::max());
-        TensorI8 ref(op.out_shape), direct(op.out_shape),
-            dispatched(op.out_shape);
+        TensorI8 ref(op.out_shape), dispatched_out(op.out_shape);
         if (conv) {
           qconv2d_forward(x, op, ref, fp_in);
-          kernels::conv2d_avxvnni(x, op, quads, direct, fp_in);
-          kernels::conv2d(x, op, dispatched, fp_in);
+          kernels::conv2d(x, op, dispatched_out, fp_in);
         } else {
           qtconv2d_forward(x, op, ref, fp_in);
-          kernels::tconv2d_avxvnni(x, op, quads, direct, fp_in, nullptr);
-          kernels::tconv2d(x, op, dispatched, fp_in);
+          kernels::tconv2d(x, op, dispatched_out, fp_in);
         }
-        EXPECT_TRUE(same_tensor(direct, ref))
-            << "ci=" << ci << " conv=" << conv << " shift=" << shift;
-        EXPECT_TRUE(same_tensor(dispatched, ref))
+        EXPECT_TRUE(same_tensor(dispatched_out, ref))
             << "ci=" << ci << " conv=" << conv << " shift=" << shift
             << " (dispatched)";
+        for (std::size_t i = 0; i < paths.size(); ++i) {
+          EXPECT_TRUE(
+              same_tensor(run_path(paths[i], x, op, packs[i], fp_in), ref))
+              << "ci=" << ci << " conv=" << conv << " shift=" << shift << " ("
+              << paths[i].name << ")";
+        }
         ++cases;
         const int centre = ref[((ohw / 2) * ohw + ohw / 2) * co];
         if (centre > -128 && centre < 127) ++unsaturated;
@@ -371,6 +427,39 @@ TEST_F(SimdKernelsTest, OffsetFormStaysExactWhereItsU8PartOverflowsInt32) {
   }
   EXPECT_EQ(cases, 48);
   EXPECT_GT(unsaturated, 0);
+}
+
+TEST_F(KernelsTest, BothQuadWidthsBuildOnePack) {
+  // The 512-bit quads read each 16-wide block's lane group as one vector of
+  // the pack the 256-bit quads read as two, so both must build the same
+  // bytes: every conv and tconv of the five rungs at 32x32.
+#if defined(SENECA_KERNELS_AVX512VNNI) && defined(SENECA_KERNELS_AVXVNNI)
+  if (!kernels::avx512vnni_available() || !kernels::avxvnni_available()) {
+    GTEST_SKIP() << "this CPU lacks AVX512-VNNI or AVX-VNNI";
+  }
+  int layers = 0;
+  for (const char* rung : {"16M", "8M", "4M", "2M", "1M"}) {
+    const QGraph qg = core::build_timing_qgraph(rung, 32);
+    for (const QOp& op : qg.ops) {
+      if (op.kind != QOpKind::kConv2D && op.kind != QOpKind::kTConv2D) {
+        continue;
+      }
+      const kernels::PackedWeights zmm = kernels::pack_weights_avx512vnni(op);
+      const kernels::PackedWeights ymm = kernels::pack_weights_avxvnni(op);
+      ASSERT_EQ(zmm.operands.size(), ymm.operands.size())
+          << rung << " " << op.name;
+      ASSERT_EQ(zmm.sums.size(), ymm.sums.size()) << rung << " " << op.name;
+      EXPECT_EQ(std::memcmp(zmm.operands.data(), ymm.operands.data(),
+                            zmm.operands.size() * sizeof(std::int32_t)),
+                0)
+          << rung << " " << op.name << " operands";
+      EXPECT_EQ(zmm.sums, ymm.sums) << rung << " " << op.name << " sums";
+      ++layers;
+    }
+  }
+  EXPECT_GE(layers, 5 * 20);
+#else
+  GTEST_SKIP() << "built without one of the two quad widths";
 #endif
 }
 

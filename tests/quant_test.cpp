@@ -126,18 +126,16 @@ TEST(FixPoint, RoundSaturateMatchesLlround) {
 }
 
 TEST(RangeAnalysis, ConvAccIntervalIsTheWorstChannelSum) {
-  // Per channel: bias plus, for every tap, the product interval widened to
-  // include 0; then the worst channel.
-  util::Rng rng(4);
-  const std::int64_t taps = 27, co = 5;
-  std::vector<std::int8_t> w(static_cast<std::size_t>(taps * co));
-  for (auto& v : w) {
-    v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_index(256)) - 128);
-  }
-  const std::vector<std::int32_t> bias = {-300, 7, 0, 1200, -5};
-  for (const Interval in :
-       {Interval{-128, 127}, Interval{0, 127}, Interval{-3, -1}}) {
-    std::int64_t lo = 0, hi = 0;
+  // The reference: per channel, bias plus, for every tap, the product
+  // interval widened to include 0; then the worst channel.
+  // conv_acc_interval computes it from each channel's sums of positive and
+  // of negative weights instead, which must give the same bounds. Seeded
+  // weights with the -128 and 127 extremes forced into every channel, and
+  // intervals below, straddling, above and at zero.
+  const auto per_tap = [](const std::vector<std::int8_t>& w,
+                          std::int64_t taps, std::int64_t co,
+                          const std::vector<std::int32_t>& bias, Interval in) {
+    Interval want{0, 0};
     for (std::int64_t o = 0; o < co; ++o) {
       std::int64_t l = bias[static_cast<std::size_t>(o)], h = l;
       for (std::int64_t t = 0; t < taps; ++t) {
@@ -145,13 +143,45 @@ TEST(RangeAnalysis, ConvAccIntervalIsTheWorstChannelSum) {
         l += std::min({wv * in.lo, wv * in.hi, std::int64_t{0}});
         h += std::max({wv * in.lo, wv * in.hi, std::int64_t{0}});
       }
-      lo = o == 0 ? l : std::min(lo, l);
-      hi = o == 0 ? h : std::max(hi, h);
+      want.lo = o == 0 ? l : std::min(want.lo, l);
+      want.hi = o == 0 ? h : std::max(want.hi, h);
     }
-    const Interval got = conv_acc_interval(w.data(), taps, co, bias.data(), in);
-    EXPECT_EQ(got.lo, lo);
-    EXPECT_EQ(got.hi, hi);
+    return want;
+  };
+  const Interval ins[] = {{-128, 127}, {-5, 3},  {0, 127}, {1, 9},
+                          {-3, -1},    {-128, -128}, {0, 0}, {127, 127}};
+  util::Rng rng(4);
+  int cases = 0;
+  for (const std::int64_t taps : {1, 9, 27, 4608}) {
+    for (const std::int64_t co : {1, 5, 16, 33}) {
+      std::vector<std::int8_t> w(static_cast<std::size_t>(taps * co));
+      for (auto& v : w) {
+        v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_index(256)) -
+                                     128);
+      }
+      for (std::int64_t o = 0; o < co; ++o) {
+        w[static_cast<std::size_t>(o)] = -128;
+        w[static_cast<std::size_t>((taps - 1) * co + o)] = 127;
+      }
+      std::vector<std::int32_t> bias(static_cast<std::size_t>(co));
+      for (auto& b : bias) {
+        b = static_cast<std::int32_t>(rng.uniform_index(4001)) - 2000;
+      }
+      for (const Interval in : ins) {
+        const Interval want = per_tap(w, taps, co, bias, in);
+        const Interval got =
+            conv_acc_interval(w.data(), taps, co, bias.data(), in);
+        EXPECT_EQ(got.lo, want.lo)
+            << "taps=" << taps << " co=" << co << " in=[" << in.lo << ", "
+            << in.hi << "]";
+        EXPECT_EQ(got.hi, want.hi)
+            << "taps=" << taps << " co=" << co << " in=[" << in.lo << ", "
+            << in.hi << "]";
+        ++cases;
+      }
+    }
   }
+  EXPECT_EQ(cases, 4 * 4 * 8);
 }
 
 TEST(FixPoint, RshiftNegativeShiftIsLeftShift) {
